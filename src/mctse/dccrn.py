@@ -15,6 +15,7 @@ records behind a JSON config header and round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ from .nn_blocks import (
     uniform_init,
 )
 from .signal import AudioClip, ComplexSpec, StftConfig, istft_array, istft_op, stft_array
-from .tensor import Tensor, constant
+from .tensor import Tensor, constant, no_grad
 
 FREQ_KERNEL = 5
 TIME_KERNEL = 2
@@ -377,8 +378,12 @@ def extract(
     model: Model,
     precomputed: dict[str, np.ndarray] | None = None,
 ) -> tuple[AudioClip, np.ndarray | None]:
-    """Run the trained model on one mixture; returns the estimate and attention."""
-    out = run_model(model, mixture.samples, clues, precomputed)
+    """Run the trained model on one mixture; returns the estimate and attention.
+
+    The forward runs under no_grad(), so no graph is kept while it runs.
+    """
+    with no_grad():
+        out = run_model(model, mixture.samples, clues, precomputed)
     clip = AudioClip(np.asarray(out.wave.data, dtype=np.float64), mixture.sample_rate)
     attention = None if out.attention is None else np.array(out.attention.data)
     return clip, attention
@@ -434,14 +439,16 @@ def model_from_config(config: dict, rng: np.random.Generator | None = None, dtyp
 
 
 def save_checkpoint(path, model: Model) -> None:
+    """Write the model to path atomically: a failed write leaves path as it was."""
     blob = bytearray()
     blob += CKPT_MAGIC
     blob += struct.pack("<I", CKPT_VERSION)
     cfg_json = json.dumps(_config_dict(model), sort_keys=True).encode("utf-8")
     blob += struct.pack("<I", len(cfg_json))
     blob += cfg_json
-    for name in sorted(model.named_tensors()):
-        tensor = model.named_tensors()[name]
+    named = model.named_tensors()
+    for name in sorted(named):
+        tensor = named[name]
         data = np.ascontiguousarray(tensor.data, dtype="<f4")
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded))
@@ -449,8 +456,16 @@ def save_checkpoint(path, model: Model) -> None:
         blob += struct.pack("<I", data.ndim)
         blob += struct.pack(f"<{data.ndim}I", *data.shape)
         blob += data.tobytes()
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    # Write beside the target, then rename over it: the rename is atomic, so
+    # an interrupted or failed write never leaves a half-written file at path.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Model:

@@ -5,10 +5,10 @@ the clue-conditioned complex LSTM enhancement block, and multi-head attention.
 All parameters are initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) from
 a caller-supplied Generator; LSTM forget-gate biases start at 1.
 
-The LSTM runs as one fused tape operation per layer and direction: the input
-projection is a single matmul over all timesteps, the recurrence loops in
-python, and the backward rule replays the loop in reverse (backpropagation
-through time) using cached gate activations.
+The LSTM runs as one fused tape operation per layer, both directions in one
+loop: the input projection is a single matmul over all timesteps, the
+recurrence loops in python, and the backward rule replays the loop in reverse
+(backpropagation through time) using cached gate activations.
 """
 
 from __future__ import annotations
@@ -131,78 +131,99 @@ class LstmParams:
         return out
 
 
-def _lstm_direction_op(x: Tensor, d: LstmDirection, reverse: bool) -> Tensor:
-    """One direction of one layer over x[B x T x Din], fused with its BPTT rule."""
+def _lstm_direction_op(x: Tensor, directions: list[LstmDirection]) -> Tensor:
+    """Every direction of one layer over x[B x T x Din], fused with its BPTT rule.
+
+    Direction 0 reads the sequence forward and direction 1 (if any) reads it
+    backward; the output concatenates their hidden states along features. The
+    directions run in one loop: each keeps its own matmuls, and the
+    elementwise gate arithmetic runs once over a leading direction axis.
+    """
     bsz, steps, d_in = x.data.shape
-    h_dim = d.wh.data.shape[0]
-    xd = x.data[:, ::-1] if reverse else x.data
-    xw = (xd.reshape(bsz * steps, d_in) @ d.wx.data + d.bias.data).reshape(bsz, steps, 4 * h_dim)
+    nd = len(directions)
+    h_dim = directions[0].wh.data.shape[0]
+    xds = [x.data[:, ::-1] if k else x.data for k in range(nd)]
+    xw = np.stack([
+        (xd.reshape(bsz * steps, d_in) @ d.wx.data + d.bias.data).reshape(bsz, steps, 4 * h_dim)
+        for xd, d in zip(xds, directions)
+    ])
 
-    gi = np.empty((steps, bsz, h_dim), dtype=xw.dtype)
-    gf = np.empty_like(gi)
-    go = np.empty_like(gi)
-    gg = np.empty_like(gi)
-    tc = np.empty_like(gi)
-    h_prev = np.empty_like(gi)
-    c_prev = np.empty_like(gi)
-    hs = np.empty_like(gi)
+    # Gate activations are written in place, one [D x B x H] (or [D x B x 3H])
+    # block per step; the cell state before step t is cs[t - 1] (zeros at 0).
+    sig = np.empty((steps, nd, bsz, 3 * h_dim), dtype=xw.dtype)  # input, forget, output
+    gi, gf, go = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim], sig[..., 2 * h_dim :]
+    gg = np.empty((steps, nd, bsz, h_dim), dtype=xw.dtype)
+    cs = np.empty_like(gg)
+    tc = np.empty_like(gg)
+    hs = np.empty_like(gg)
+    zero = np.zeros((nd, bsz, h_dim), dtype=xw.dtype)
+    hw = np.empty((nd, bsz, 4 * h_dim), dtype=xw.dtype)
 
-    h = np.zeros((bsz, h_dim), dtype=xw.dtype)
-    c = np.zeros((bsz, h_dim), dtype=xw.dtype)
+    h = c = zero
     for t in range(steps):
-        h_prev[t] = h
-        c_prev[t] = c
-        z = xw[:, t] + h @ d.wh.data
-        sig = expit(z[:, : 3 * h_dim])
-        gi[t] = sig[:, :h_dim]
-        gf[t] = sig[:, h_dim : 2 * h_dim]
-        go[t] = sig[:, 2 * h_dim :]
-        gg[t] = np.tanh(z[:, 3 * h_dim :])
-        c = gf[t] * c + gi[t] * gg[t]
-        tc[t] = np.tanh(c)
-        h = go[t] * tc[t]
-        hs[t] = h
+        for k, d in enumerate(directions):
+            np.matmul(h[k], d.wh.data, out=hw[k])
+        z = xw[:, :, t] + hw
+        expit(z[..., : 3 * h_dim], out=sig[t])
+        np.tanh(z[..., 3 * h_dim :], out=gg[t])
+        c = np.add(gf[t] * c, gi[t] * gg[t], out=cs[t])
+        h = np.multiply(go[t], np.tanh(c, out=tc[t]), out=hs[t])
 
-    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
-    if reverse:
-        out = np.ascontiguousarray(out[:, ::-1])
+    out = np.empty((bsz, steps, nd * h_dim), dtype=xw.dtype)
+    for k in range(nd):
+        seq = hs[:, k] if k == 0 else hs[::-1, k]
+        out[:, :, k * h_dim : (k + 1) * h_dim] = seq.transpose(1, 0, 2)
 
     def rule(g, sink):
-        gh_seq = g[:, ::-1] if reverse else g
-        dxw = np.empty((bsz, steps, 4 * h_dim), dtype=g.dtype)
-        dwh = np.zeros_like(d.wh.data)
-        dh = np.zeros((bsz, h_dim), dtype=g.dtype)
+        # Per gate block (input, forget, output, cell) the pre-activation
+        # gradient is ((u * fa) * fb) * fc with u = dct, dct, dht, dct. The
+        # factors come from the forward alone, so they are gathered once and
+        # cast to the precision the recurrence runs in (the values a
+        # mixed-precision op would cast to in every step); each step is then
+        # three in-place products over all directions and gate blocks.
+        dt = np.result_type(g.dtype, hs.dtype)
+        gh = np.empty((steps, nd, bsz, h_dim), dtype=g.dtype)
+        for k in range(nd):
+            part = g[:, :, k * h_dim : (k + 1) * h_dim]
+            gh[:, k] = (part if k == 0 else part[:, ::-1]).transpose(1, 0, 2)
+        c_prev = np.concatenate([zero[None], cs[:-1]])
+        fa = np.concatenate([gg, c_prev, tc, gi], axis=3).astype(dt)
+        fb = np.concatenate([gi, gf, go, 1.0 - gg * gg], axis=3).astype(dt)
+        fc = np.concatenate([1.0 - sig, np.ones_like(gg)], axis=3).astype(dt)
+        go_, gf_ = go.astype(dt), gf.astype(dt)
+        dtanh_c = (1.0 - tc * tc).astype(dt)
+        dz_all = np.empty((steps, nd, bsz, 4 * h_dim), dtype=dt)
+        blocks = dz_all.reshape(steps, nd, bsz, 4, h_dim)
+        dwh = [np.zeros_like(d.wh.data) for d in directions]
+        dh = np.zeros((nd, bsz, h_dim), dtype=dt)
         dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
-            dht = gh_seq[:, t] + dh
-            do = dht * tc[t]
-            dct = dc + dht * go[t] * (1.0 - tc[t] * tc[t])
-            di = dct * gg[t]
-            dg = dct * gi[t]
-            df = dct * c_prev[t]
-            dc = dct * gf[t]
-            dz = np.concatenate(
-                [
-                    di * gi[t] * (1.0 - gi[t]),
-                    df * gf[t] * (1.0 - gf[t]),
-                    do * go[t] * (1.0 - go[t]),
-                    dg * (1.0 - gg[t] * gg[t]),
-                ],
-                axis=1,
-            )
-            dxw[:, t] = dz
-            dwh += h_prev[t].T @ dz
-            dh = dz @ d.wh.data.T
-        dxw2 = dxw.reshape(bsz * steps, 4 * h_dim)
-        dx = (dxw2 @ d.wx.data.T).reshape(bsz, steps, d_in)
-        if reverse:
-            dx = np.ascontiguousarray(dx[:, ::-1])
-        sink(x, dx)
-        sink(d.wx, xd.reshape(bsz * steps, d_in).T @ dxw2)
-        sink(d.wh, dwh)
-        sink(d.bias, dxw2.sum(axis=0))
+            dht = gh[t] + dh
+            dct = dc + dht * go_[t] * dtanh_c[t]
+            dz = dz_all[t]
+            blocks[t] = dct[:, :, None]
+            blocks[t, :, :, 2] = dht
+            dz *= fa[t]
+            dz *= fb[t]
+            dz *= fc[t]
+            dc = dct * gf_[t]
+            h_prev = hs[t - 1] if t else zero
+            for k, d in enumerate(directions):
+                dwh[k] += h_prev[k].T @ dz[k]
+                np.matmul(dz[k], d.wh.data.T, out=dh[k])
+        for k, d in enumerate(directions):
+            dxw2 = np.ascontiguousarray(dz_all[:, k].transpose(1, 0, 2), dtype=g.dtype)
+            dxw2 = dxw2.reshape(bsz * steps, 4 * h_dim)
+            dx = (dxw2 @ d.wx.data.T).reshape(bsz, steps, d_in)
+            if k:
+                dx = np.ascontiguousarray(dx[:, ::-1])
+            sink(x, dx)
+            sink(d.wx, xds[k].reshape(bsz * steps, d_in).T @ dxw2)
+            sink(d.wh, dwh[k])
+            sink(d.bias, dxw2.sum(axis=0))
 
-    return make_node(out, (x, d.wx, d.wh, d.bias), rule)
+    params = tuple(p for d in directions for p in (d.wx, d.wh, d.bias))
+    return make_node(out, (x,) + params, rule)
 
 
 def lstm_forward_batch(x: Tensor, p: LstmParams) -> Tensor:
@@ -217,8 +238,7 @@ def lstm_forward_batch(x: Tensor, p: LstmParams) -> Tensor:
         )
     cur = x
     for layer in p.layers:
-        outs = [_lstm_direction_op(cur, d, reverse=bool(i)) for i, d in enumerate(layer)]
-        cur = outs[0] if len(outs) == 1 else ops.concat(outs, axis=2)
+        cur = _lstm_direction_op(cur, layer)
     return cur
 
 

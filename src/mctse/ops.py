@@ -8,7 +8,11 @@ kinks.
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import ContractError, InputError
@@ -218,11 +222,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, h2: int, w2: int) -> np.ndarray:
     c = xp.shape[0]
-    cols = np.empty((c, kh, kw, h2, w2), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + sh * (h2 - 1) + 1 : sh, j : j + sw * (w2 - 1) + 1 : sw]
-    return cols.reshape(c * kh * kw, h2 * w2)
+    s0, s1, s2 = xp.strides
+    windows = as_strided(xp, (c, kh, kw, h2, w2), (s0, s1, s2, s1 * sh, s2 * sw), writeable=False)
+    return np.ascontiguousarray(windows).reshape(c * kh * kw, h2 * w2)
 
 
 def _col2im(dcols: np.ndarray, shape, kh, kw, sh, sw, h2, w2) -> np.ndarray:
@@ -259,7 +261,8 @@ def conv2d(x: Tensor, k: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         )
     h2 = (hp - kh) // sh + 1
     w2 = (wp - kw) // sw + 1
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
+    xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x.data
     cols = _im2col(xp, kh, kw, sh, sw, h2, w2)
     out = (k.data.reshape(cout, -1) @ cols).reshape(cout, h2, w2)
 
@@ -343,7 +346,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 f"concat: incompatible shapes {tensors[0].shape} vs {t.shape} on axis {axis}"
             )
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate(sizes, initial=0))
 
     def rule(g, sink):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -377,11 +380,11 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if shape.count(-1) == 1:
-        rest = int(np.prod([s for s in shape if s != -1]))
+        rest = math.prod(s for s in shape if s != -1)
         if rest == 0 or x.data.size % rest:
             raise ContractError(f"reshape: cannot infer -1 in {x.shape} -> {shape}")
         shape = tuple(x.data.size // rest if s == -1 else s for s in shape)
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ContractError(f"reshape: {x.shape} -> {shape} changes element count")
 
     def rule(g, sink):
@@ -395,7 +398,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     axes = tuple(range(nd))[::-1] if axes is None else tuple(axes)
     if sorted(axes) != list(range(nd)):
         raise ContractError(f"transpose: bad axes {axes} for ndim {nd}")
-    inv = np.argsort(axes)
+    inv = tuple(sorted(range(nd), key=axes.__getitem__))
 
     def rule(g, sink):
         sink(x, np.ascontiguousarray(g.transpose(inv)))

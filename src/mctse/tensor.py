@@ -3,7 +3,14 @@
 A Tensor wraps a numpy array. Differentiable operations (see ops.py) create
 output tensors that remember their input tensors and a backward rule; the
 resulting DAG doubles as the tape. ``backward(loss)`` materializes the tape
-in topological order and walks it in reverse, accumulating gradients.
+in topological order and walks it in reverse, accumulating gradients on the
+leaves (tensors without a backward rule, such as parameters); intermediate
+gradients are dropped as soon as their rule has consumed them.
+
+Inside ``with no_grad():`` ops record nothing: their outputs have no parents
+and no backward rule, so each intermediate array, and every array a rule
+would have captured, is freed as soon as the forward moves past it. Use it
+for any forward pass that no backward will follow.
 
 Tensors are immutable once created except for the ``grad`` accumulator
 (and the training loop, which updates parameter ``data`` between steps).
@@ -13,7 +20,9 @@ grads doubles them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +31,19 @@ from .errors import ContractError
 # Backward rules receive the output gradient and a sink; they call
 # sink(parent, parent_grad) for every differentiable parent.
 BackwardRule = Callable[[np.ndarray, Callable[["Tensor", np.ndarray], None]], None]
+
+# Whether make_node records the graph; per thread and per asyncio task.
+_RECORDING: ContextVar[bool] = ContextVar("mctse_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block; nests, and restores on exit or error."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -100,13 +122,18 @@ class Tensor:
 
 
 def make_node(data: np.ndarray, parents: Iterable[Tensor], rule: BackwardRule) -> Tensor:
-    """Wrap an op result; records parents and rule only when grads can flow."""
+    """Wrap an op result; records parents and rule only when grads can flow
+    and recording is on (outside ``no_grad()``)."""
     out = Tensor(data)
+    if not _RECORDING.get():
+        return out
     parents = tuple(parents)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = rule
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = rule
+            break
     return out
 
 
@@ -115,7 +142,8 @@ class Tape:
 
     Each entry is a tensor node carrying its input refs and backward rule;
     leaves come before the ops that consume them, so a reverse walk applies
-    the chain rule correctly.
+    the chain rule correctly. Only leaves keep a gradient: a node's incoming
+    gradient is released once its rule has passed it on.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -154,18 +182,23 @@ class Tape:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
+            if node._backward is not None:
+                node._backward(g, sink)
+            elif node.grad is None:
                 node.grad = np.array(g)
             else:
                 node.grad = node.grad + g
-            if node._backward is not None:
-                node._backward(g, sink)
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``."""
+    """Accumulate ``grad`` on every requires_grad leaf reachable from ``loss``."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        raise ContractError(
+            "backward needs a loss with a recorded graph; this one depends on no "
+            "parameter, or was computed under no_grad()"
+        )
     tape = Tape.trace(loss)
     tape.run_backward(loss, np.ones_like(loss.data))
 

@@ -20,7 +20,7 @@ from .data_sim import (
 from .dccrn import Model, ModelOutput, extract, run_model, save_checkpoint
 from .errors import ConfigError, ContractError, InputError
 from .signal import AudioClip, StftConfig, snr_improvement, stft_array
-from .tensor import Tensor, constant, zero_grads
+from .tensor import Tensor, constant, no_grad, zero_grads
 
 MODALITIES = ("tag", "text", "video")
 ALL_SUBSETS = (
@@ -119,7 +119,11 @@ def extraction_loss(target: AudioClip, output: ModelOutput, stft: StftConfig,
 
 
 class AdamState:
-    """First/second moment estimates for one fixed parameter list."""
+    """First/second moment estimates for one fixed parameter list.
+
+    The moments are float64 whatever the parameter dtype, so a float32
+    gradient cannot round an update past Adam's step bound.
+    """
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -127,13 +131,16 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros(p.data.shape) for p in params]
+        self.v = [np.zeros(p.data.shape) for p in params]
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    The update is computed in float64 and cast to the parameter dtype once.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ContractError(
             f"adam_step got {len(params)} params, {len(grads)} grads, "
@@ -146,6 +153,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
             raise ContractError(
                 f"grad shape {g.shape} does not match parameter {p.data.shape}"
             )
+        g = np.asarray(g, dtype=np.float64)
         state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
         state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
         m_hat = state.m[i] / (1.0 - state.beta1**t)
@@ -240,12 +248,28 @@ def _clues_for_validation(example_clues: ClueSet, stage: int) -> ClueSet:
 def _mean_valid_loss(records: list[dict], classes: list[SoundClass], model: Model,
                      loss_cfg: LossConfig) -> float:
     total = 0.0
-    for record in records:
-        example = example_from_record(record, classes)
-        clues = _clues_for_validation(example.clues, model.stage)
-        out = run_model(model, example.mixture.samples, clues)
-        total += float(extraction_loss(example.target, out, model.cfg.stft, loss_cfg).data)
+    with no_grad():
+        for record in records:
+            example = example_from_record(record, classes)
+            clues = _clues_for_validation(example.clues, model.stage)
+            out = run_model(model, example.mixture.samples, clues)
+            total += float(extraction_loss(example.target, out, model.cfg.stft, loss_cfg).data)
     return total / len(records)
+
+
+def _accumulate_example(record: dict, classes: list[SoundClass], model: Model,
+                        subset: tuple[str, ...], loss_cfg: LossConfig) -> float:
+    """Forward, loss and backward for one example; returns its loss.
+
+    The graph is referenced only from this frame, so it is freed on return,
+    before the next example's forward builds its own.
+    """
+    example = example_from_record(record, classes)
+    clues = restrict_clues(example.clues, subset)
+    out = run_model(model, example.mixture.samples, clues)
+    loss = extraction_loss(example.target, out, model.cfg.stft, loss_cfg)
+    loss.backward()
+    return float(loss.data)
 
 
 def train(manifest: Manifest, classes: list[SoundClass], model: Model,
@@ -280,17 +304,12 @@ def train(manifest: Manifest, classes: list[SoundClass], model: Model,
             zero_grads(params)
             used: set[str] = set()
             for record in batch:
-                example = example_from_record(record, classes)
                 if cfg.stage == 1:
                     subset = ("tag",)
                 else:
                     subset = _sample_subset(rng, cfg.subset_weights)
                 used.update(subset)
-                clues = restrict_clues(example.clues, subset)
-                out = run_model(model, example.mixture.samples, clues)
-                loss = extraction_loss(example.target, out, model.cfg.stft, loss_cfg)
-                loss.backward()
-                epoch_loss += float(loss.data)
+                epoch_loss += _accumulate_example(record, classes, model, subset, loss_cfg)
             if cfg.stage == 2:
                 _check_gradient_isolation(model, used)
             grads = [
@@ -425,7 +444,8 @@ def attention_matrix(model: Model, mixture: AudioClip,
     """Head-averaged attention over clue positions, with column labels."""
     if model.stage != 2:
         raise ContractError("a stage-1 model attends to nothing; train stage 2 first")
-    out = run_model(model, mixture.samples, clues)
+    with no_grad():
+        out = run_model(model, mixture.samples, clues)
     averaged = np.asarray(out.attention.data, dtype=np.float64).mean(axis=0)
     labels = [
         f"{modality}:{i - start}"

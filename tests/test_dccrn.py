@@ -1,12 +1,14 @@
 """Tests for the complex U-Net extraction model and its checkpoint format."""
 
+import builtins
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mctse import ConfigError, ContractError, InputError, constant
-from mctse import ops
+from mctse import dccrn, ops
 from mctse.clue_net import ClueSet
 from mctse.dccrn import (
     CKPT_MAGIC,
@@ -231,6 +233,67 @@ class TestRunModel:
         assert np.all(np.isfinite(out.wave.data))
 
 
+class TestTapeFreeExtract:
+    def capture_run_model(self, monkeypatch):
+        outputs = []
+
+        def recording(*args, **kwargs):
+            out = run_model(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(dccrn, "run_model", recording)
+        return outputs
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_extract_builds_no_graph(self, stage, monkeypatch):
+        outputs = self.capture_run_model(monkeypatch)
+        clues = ClueSet(tag=onehot(1)) if stage == 1 else full_clues()
+        extract(AudioClip(mini_clip(), 16000), clues, mini_model(stage=stage))
+        (out,) = outputs
+        for t in (out.real, out.imag, out.wave, out.attention):
+            if t is not None:
+                assert t._parents == () and t._backward is None
+                assert not t.requires_grad
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_extract_is_byte_identical_to_graph_forward(self, stage):
+        model = mini_model(stage=stage, seed=4, dtype=np.float32)
+        clip = AudioClip(mini_clip(seed=2, n=800), 16000)
+        clues = ClueSet(tag=onehot(2)) if stage == 1 else full_clues(seed=3)
+        graph = run_model(model, clip.samples, clues)
+        assert graph.wave.requires_grad
+        estimate, attention = extract(clip, clues, model)
+        assert estimate.samples.tobytes() == graph.wave.data.astype(np.float64).tobytes()
+        if stage == 1:
+            assert attention is None
+        else:
+            assert attention.tobytes() == graph.attention.data.tobytes()
+
+    def test_long_clip_memory_is_bounded(self):
+        # A 30 s clip: the graph a recorded forward keeps grows with the clip,
+        # while extract() holds only the layer being computed.
+        stft = StftConfig(fft_size=512, win_len=512, hop=256)
+        cfg = DccrnConfig(channels=(2, 2), lstm_hidden=4, lstm_layers=1, stft=stft)
+        model = Model(np.random.default_rng(0), cfg, num_classes=NUM_CLASSES,
+                      clue_cfg=ClueConfig(heads=1), stage=1, dtype=np.float32)
+        clip = AudioClip(mini_clip(n=30 * 16000), 16000)
+        clues = ClueSet(tag=onehot(0))
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                kept = fn()
+                return tracemalloc.get_traced_memory()[1], kept
+            finally:
+                tracemalloc.stop()
+
+        with_graph, out = traced_peak(lambda: run_model(model, clip.samples, clues))
+        del out
+        tape_free, _ = traced_peak(lambda: extract(clip, clues, model))
+        assert tape_free < with_graph / 3
+
+
 class TestGradients:
     def readout(self, model, mix, clues, rng):
         """Scalar projection of all three model outputs with fixed weights."""
@@ -371,6 +434,37 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(CKPT_MAGIC) + 8 + cfg_len])
         with pytest.raises(InputError, match="missing parameters"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, mini_model(stage=1, seed=1, dtype=np.float32))
+        previous = path.read_bytes()
+
+        class HalfWriter:
+            """A file that takes half of what it is given, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(bytes(data[: len(data) // 2]))
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dccrn, "open",
+                            lambda *a, **k: HalfWriter(builtins.open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, mini_model(stage=1, seed=2, dtype=np.float32))
+        monkeypatch.undo()
+
+        assert path.read_bytes() == previous
+        load_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):

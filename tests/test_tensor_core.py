@@ -6,7 +6,7 @@ import pytest
 from mctse import ops
 from mctse.errors import ContractError, InputError
 from mctse.gradcheck import check_gradients
-from mctse.tensor import Tensor, constant, parameter, zero_grads
+from mctse.tensor import Tape, Tensor, constant, no_grad, parameter, zero_grads
 
 SEEDS = list(range(10))
 
@@ -317,6 +317,68 @@ class TestInvariants:
         loss.backward()
         # d/dx (x^2 * 2x) = 6 x^2
         np.testing.assert_allclose(x.grad, [6.0 * 9.0])
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = parameter([1.0, 2.0])
+        with no_grad():
+            y = ops.reduce_sum(ops.square(x))
+        assert y._parents == () and y._backward is None
+        assert not y.requires_grad
+        assert float(y.data) == 5.0
+
+    def test_nests(self):
+        x = parameter([3.0])
+        with no_grad():
+            with no_grad():
+                inner = ops.square(x)
+            after_inner = ops.square(x)
+        assert inner._parents == () and after_inner._parents == ()
+        assert ops.square(x)._parents == (x,)
+
+    def test_state_restored_after_exception(self):
+        x = parameter([3.0])
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert ops.square(x).requires_grad
+
+    def test_backward_on_graphless_loss_rejected(self):
+        x = parameter([1.0, 2.0])
+        with no_grad():
+            loss = ops.reduce_sum(ops.square(x))
+        with pytest.raises(ContractError, match="no_grad"):
+            loss.backward()
+        assert x.grad is None
+
+    def test_backward_on_constant_loss_rejected(self):
+        with pytest.raises(ContractError, match="graph"):
+            ops.reduce_sum(constant([1.0, 2.0])).backward()
+
+
+class TestLeafGradients:
+    def test_only_leaves_keep_grad(self):
+        x = parameter([1.0, -2.0])
+        w = parameter([3.0, 4.0])
+        hidden = ops.mul(ops.square(x), w)
+        loss = ops.reduce_sum(hidden)
+        loss.backward()
+        tape = Tape.trace(loss)
+        assert all(n.grad is None for n in tape.nodes if n._backward is not None)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data * w.data)
+        np.testing.assert_array_equal(w.grad, x.data**2)
+
+    def test_leaf_accumulation_over_shared_graph(self):
+        # Two backwards through one graph accumulate on the leaf; the shared
+        # intermediate keeps nothing between them.
+        x = parameter([2.0])
+        y = ops.square(x)
+        loss = ops.reduce_sum(y + y)
+        loss.backward()
+        loss.backward()
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, [16.0])
 
 
 class TestErrors:

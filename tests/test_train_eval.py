@@ -243,6 +243,32 @@ class TestAdam:
             adam_step([x], [np.asarray(2.0 * (float(x.data) - 3.0))], state, lr=0.1)
         assert abs(float(x.data) - 3.0) < 0.05
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_float32_steps_stay_within_bound(self, seed):
+        # |m_hat| / sqrt(v_hat) <= (1-b1)/(1-b1^t) * sqrt((1-g^t)/(1-g))
+        # * sqrt((1-b2^t)/(1-b2)) with g = b1^2/b2 (Cauchy-Schwarz over the
+        # moment sums), so after k steps at rate lr a parameter has moved at
+        # most lr * sum of those bounds, plus one float32 rounding per step.
+        b1, b2, gamma = 0.9, 0.999, 0.9**2 / 0.999
+        rng = np.random.default_rng(seed)
+        x = parameter(np.zeros(1000, dtype=np.float32))
+        state = AdamState([x])
+        lr, bound = 1e-3, 0.0
+        for t in range(1, 4):
+            g = (rng.standard_normal(1000) * 10.0 ** rng.uniform(-6, 2, 1000)).astype(np.float32)
+            adam_step([x], [g], state, lr=lr)
+            bound += lr * ((1 - b1) / (1 - b1**t) * np.sqrt((1 - gamma**t) / (1 - gamma))
+                           * np.sqrt((1 - b2**t) / (1 - b2)))
+            assert x.data.dtype == np.float32
+            slack = t * np.spacing(np.abs(x.data))
+            assert np.all(np.abs(x.data.astype(np.float64)) <= bound + slack)
+
+    def test_moments_are_float64(self):
+        x = parameter(np.zeros(3, dtype=np.float32))
+        state = AdamState([x])
+        adam_step([x], [np.ones(3, dtype=np.float32)], state, lr=0.1)
+        assert state.m[0].dtype == np.float64 and state.v[0].dtype == np.float64
+
     def test_shape_mismatch_rejected(self):
         x = parameter(np.zeros(3))
         state = AdamState([x])
