@@ -133,6 +133,7 @@ class ClueNetParams:
         if min(dim, num_classes, vocab_size, bins, sound_channels) < 1:
             raise ConfigError("clue net dims must all be positive")
         self.dim = dim
+        self.dtype = np.dtype(dtype)  # clue inputs are cast to it where they enter
         self.num_classes = num_classes
         self.vocab_size = vocab_size
         self.bins = bins
@@ -203,7 +204,7 @@ def encode_sound(mixture_spec: ComplexSpec, p: ClueNetParams) -> EmbeddingSeq:
         raise ContractError(
             f"spectrum has {mixture_spec.real.shape[1]} bins, params expect {p.bins}"
         )
-    mag = constant(mixture_spec.magnitude()[None, :, :])
+    mag = constant(mixture_spec.magnitude()[None, :, :], dtype=p.dtype)
     k = p.downsample
     conv = ops.conv2d(mag, p.sound_kernel, stride=(k, k), padding=(2, 2))
     conv = ops.relu(ops.channel_bias(conv, p.sound_bias))
@@ -225,7 +226,7 @@ def encode_text(tokens, p: ClueNetParams) -> EmbeddingSeq:
 
 
 def encode_video(frames, p: ClueNetParams) -> EmbeddingSeq:
-    arr = np.asarray(frames, dtype=np.float64)
+    arr = np.asarray(frames, dtype=p.dtype)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ContractError(f"video frames must be [T_v x D_vraw], got shape {arr.shape}")
     if arr.shape[1] != p.video_raw_dim:
@@ -236,7 +237,7 @@ def encode_video(frames, p: ClueNetParams) -> EmbeddingSeq:
 
 
 def encode_tag(onehot, p: ClueNetParams) -> EmbeddingSeq:
-    vec = np.asarray(onehot, dtype=np.float64).reshape(-1)
+    vec = np.asarray(onehot, dtype=p.dtype).reshape(-1)
     if vec.shape != (p.num_classes,):
         raise ContractError(
             f"tag one-hot has length {vec.shape[0]}, expected {p.num_classes}"
@@ -257,7 +258,7 @@ def encode_clues(
     out = []
     for modality in MODALITY_ORDER:
         if modality in precomputed:
-            emb = np.asarray(precomputed[modality], dtype=np.float64)
+            emb = np.asarray(precomputed[modality], dtype=p.dtype)
             if emb.ndim != 2 or emb.shape[1] != p.dim:
                 raise InputError(
                     f"precomputed {modality} embedding must be [L x {p.dim}], got {emb.shape}"

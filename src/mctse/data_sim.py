@@ -17,9 +17,8 @@ import numpy as np
 
 from .clue_net import ClueSet
 from .errors import ConfigError, ContractError, InputError
-from .signal import AudioClip, mix_at_snr, write_wav
+from .signal import SAMPLE_RATE, AudioClip, mix_at_snr, write_wav
 
-SAMPLE_RATE = 16000
 DURATION = 2.0
 VIDEO_FRAMES = 30  # 2 s at 15 frames per second
 VIDEO_DIM = 32

@@ -42,7 +42,7 @@ from .nn_blocks import (
     complex_lstm_enhance,
     uniform_init,
 )
-from .signal import AudioClip, ComplexSpec, StftConfig, istft_array, istft_op, stft_array
+from .signal import SAMPLE_RATE, AudioClip, ComplexSpec, StftConfig, istft_array, istft_op, stft_array
 from .tensor import Tensor, constant, no_grad
 
 FREQ_KERNEL = 5
@@ -381,7 +381,13 @@ def extract(
     """Run the trained model on one mixture; returns the estimate and attention.
 
     The forward runs under no_grad(), so no graph is kept while it runs.
+    The mixture must be at the model's rate; nothing is resampled.
     """
+    if mixture.sample_rate != SAMPLE_RATE:
+        raise InputError(
+            f"mixture is sampled at {mixture.sample_rate} Hz; the model expects "
+            f"{SAMPLE_RATE} Hz"
+        )
     with no_grad():
         out = run_model(model, mixture.samples, clues, precomputed)
     clip = AudioClip(np.asarray(out.wave.data, dtype=np.float64), mixture.sample_rate)

@@ -412,7 +412,7 @@ def multi_head_attention(
             raise ContractError("attention needs at least one unmasked key")
         if mask.any():
             row = np.where(mask, -np.inf, 0.0)
-            bias = Tensor(np.tile(row, (tq, 1)))
+            bias = Tensor(np.tile(row, (tq, 1)).astype(p.wq.data.dtype))
     qp = ops.matmul(q, p.wq)
     kp = ops.matmul(k, p.wk)
     vp = ops.matmul(v, p.wv)

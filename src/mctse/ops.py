@@ -157,7 +157,7 @@ def prelu(x: Tensor, a: Tensor) -> Tensor:
     neg = np.minimum(x.data, 0.0)
 
     def rule(g, sink):
-        sink(x, g * np.where(x.data > 0, 1.0, av))
+        sink(x, np.where(x.data > 0, g, g * av))  # keeps g's dtype
         sink(a, np.sum(g * neg).reshape(a.data.shape))
 
     return make_node(np.maximum(x.data, 0.0) + av * neg, (x, a), rule)

@@ -18,6 +18,7 @@ from scipy.io import wavfile
 from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor, make_node
 
+SAMPLE_RATE = 16000  # the rate every model is built for
 SNR_CLAMP_DB = 120.0
 _OLA_FLOOR = 1e-10
 
@@ -62,7 +63,7 @@ class StftConfig:
 @dataclass
 class AudioClip:
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
@@ -185,7 +186,7 @@ def istft_array(spec: np.ndarray, cfg: StftConfig | None = None, out_len: int | 
     return out
 
 
-def istft(spec: ComplexSpec, out_len: int, sample_rate: int = 16000) -> AudioClip:
+def istft(spec: ComplexSpec, out_len: int, sample_rate: int = SAMPLE_RATE) -> AudioClip:
     samples = istft_array(spec.real + 1j * spec.imag, spec.cfg, out_len)
     return AudioClip(samples, sample_rate)
 

@@ -98,16 +98,19 @@ def extraction_loss(target: AudioClip, output: ModelOutput, stft: StftConfig,
     if es == 0.0:
         raise InputError("loss needs a nonzero-energy target")
 
-    err = ops.reduce_sum(ops.square(ops.sub(output.wave, constant(target.samples))))
+    # Targets and constants take the estimate's dtype, so a float32 model's
+    # loss, and the backward seeded from it, stay float32.
+    dtype = output.wave.data.dtype
+    err = ops.reduce_sum(ops.square(ops.sub(output.wave, constant(target.samples, dtype))))
     floor = es * 10.0 ** (-cfg.snr_clamp_db / 10.0)
-    clamped = ops.relu(ops.sub(err, floor)) + constant(np.float64(floor))
+    clamped = ops.relu(ops.sub(err, floor)) + constant(floor, dtype)
     snr_term = ops.scale(ops.log10(clamped), 10.0) - 10.0 * np.log10(es)
-    cap = constant(np.float64(cfg.snr_clamp_db))
+    cap = constant(cfg.snr_clamp_db, dtype)
     snr_term = ops.sub(cap, ops.relu(ops.sub(cap, snr_term)))
 
     target_spec = stft_array(target.samples, stft)
-    diff_r = ops.abs_(ops.sub(output.real, constant(target_spec.real)))
-    diff_i = ops.abs_(ops.sub(output.imag, constant(target_spec.imag)))
+    diff_r = ops.abs_(ops.sub(output.real, constant(target_spec.real, dtype)))
+    diff_i = ops.abs_(ops.sub(output.imag, constant(target_spec.imag, dtype)))
     entries = 2.0 * target_spec.real.size
     l1 = ops.scale(ops.reduce_sum(diff_r) + ops.reduce_sum(diff_i), 1.0 / entries)
 
@@ -262,14 +265,21 @@ def _accumulate_example(record: dict, classes: list[SoundClass], model: Model,
     """Forward, loss and backward for one example; returns its loss.
 
     The graph is referenced only from this frame, so it is freed on return,
-    before the next example's forward builds its own.
+    before the next example's forward builds its own. A non-finite loss is
+    rejected before its backward can spread it into the gradients.
     """
     example = example_from_record(record, classes)
     clues = restrict_clues(example.clues, subset)
     out = run_model(model, example.mixture.samples, clues)
     loss = extraction_loss(example.target, out, model.cfg.stft, loss_cfg)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise ContractError(
+            f"non-finite loss {value} on example {record['id']!r} "
+            f"(stage {model.stage}, clue subset {subset_name(subset)!r})"
+        )
     loss.backward()
-    return float(loss.data)
+    return value
 
 
 def train(manifest: Manifest, classes: list[SoundClass], model: Model,
@@ -288,7 +298,8 @@ def train(manifest: Manifest, classes: list[SoundClass], model: Model,
         raise InputError("manifest has no train examples")
     valid_records = manifest.split("valid")
 
-    params = model.trainable_tensors()
+    named = model.named_tensors()
+    params = list(named.values())
     state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
@@ -316,6 +327,10 @@ def train(manifest: Manifest, classes: list[SoundClass], model: Model,
                 np.zeros_like(p.data) if p.grad is None else p.grad / len(batch)
                 for p in params
             ]
+            # Stop before a non-finite gradient reaches the Adam moments.
+            for name, g in zip(named, grads):
+                if not np.all(np.isfinite(g)):
+                    raise ContractError(f"non-finite gradient for parameter {name!r}")
             adam_step(params, grads, state, lr)
         zero_grads(params)
 

@@ -11,7 +11,7 @@ from mctse.clue_net import write_embedding_file
 from mctse.data_sim import read_manifest
 from mctse.dccrn import load_checkpoint
 from mctse.errors import InputError
-from mctse.signal import read_wav
+from mctse.signal import AudioClip, read_wav, write_wav
 
 SMALL_CONFIG = {
     "model": {
@@ -249,6 +249,19 @@ class TestExtractCommand:
             "extract", "--ckpt", str(workspace["s1"]), "--mix", str(mix),
             "--clues", "text=1:2:3", "--out", str(tmp_path / "x.wav"),
         ]) == 2
+
+    def test_mixture_at_8khz_is_input_error(self, workspace, tmp_path, capsys):
+        samples = read_wav(workspace["data"] / "train-00000_mix.wav").samples
+        mix = tmp_path / "mix8k.wav"
+        write_wav(mix, AudioClip(samples[::2], 8000))
+        out = tmp_path / "x.wav"
+        assert main([
+            "extract", "--ckpt", str(workspace["s1"]), "--mix", str(mix),
+            "--clues", "tag=0", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "8000 Hz" in err and "16000 Hz" in err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

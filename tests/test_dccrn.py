@@ -9,7 +9,7 @@ import pytest
 
 from mctse import ConfigError, ContractError, InputError, constant
 from mctse import dccrn, ops
-from mctse.clue_net import ClueSet
+from mctse.clue_net import ClueSet, read_embedding_file, write_embedding_file
 from mctse.dccrn import (
     CKPT_MAGIC,
     ClueConfig,
@@ -23,6 +23,8 @@ from mctse.dccrn import (
 )
 from mctse.gradcheck import check_gradients
 from mctse.signal import AudioClip, StftConfig, stft_array
+from mctse.tensor import Tape
+from mctse.train_eval import extraction_loss
 
 # Small enough to be fast, deep enough to exercise every code path: two conv
 # layers over a 9-bin spectrum (9 -> 5 -> 3), one bidirectional LSTM layer.
@@ -212,6 +214,12 @@ class TestRunModel:
         assert est.sample_rate == 16000
         assert attention is None
 
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_extract_rejects_other_sample_rates(self, rate):
+        clip = AudioClip(mini_clip(n=1600), rate)
+        with pytest.raises(InputError, match=f"{rate} Hz.*16000 Hz"):
+            extract(clip, ClueSet(tag=onehot(1)), mini_model(stage=1))
+
     def test_extract_returns_attention_for_stage2(self):
         model = mini_model(stage=2)
         clip = AudioClip(mini_clip(), 16000)
@@ -233,21 +241,23 @@ class TestRunModel:
         assert np.all(np.isfinite(out.wave.data))
 
 
+def capture_run_model(monkeypatch):
+    """Record every ModelOutput that extract() computes."""
+    outputs = []
+
+    def recording(*args, **kwargs):
+        out = run_model(*args, **kwargs)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(dccrn, "run_model", recording)
+    return outputs
+
+
 class TestTapeFreeExtract:
-    def capture_run_model(self, monkeypatch):
-        outputs = []
-
-        def recording(*args, **kwargs):
-            out = run_model(*args, **kwargs)
-            outputs.append(out)
-            return out
-
-        monkeypatch.setattr(dccrn, "run_model", recording)
-        return outputs
-
     @pytest.mark.parametrize("stage", [1, 2])
     def test_extract_builds_no_graph(self, stage, monkeypatch):
-        outputs = self.capture_run_model(monkeypatch)
+        outputs = capture_run_model(monkeypatch)
         clues = ClueSet(tag=onehot(1)) if stage == 1 else full_clues()
         extract(AudioClip(mini_clip(), 16000), clues, mini_model(stage=stage))
         (out,) = outputs
@@ -292,6 +302,68 @@ class TestTapeFreeExtract:
         del out
         tape_free, _ = traced_peak(lambda: extract(clip, clues, model))
         assert tape_free < with_graph / 3
+
+
+def training_loss(model, stage, seed=0, n=800):
+    """Loss of one training forward of the mini model on a seeded clip."""
+    rng = np.random.default_rng(seed)
+    target = AudioClip(rng.standard_normal(n) * 0.1, 16000)
+    mix = target.samples + rng.standard_normal(n) * 0.1
+    clues = ClueSet(tag=onehot(1)) if stage == 1 else full_clues(seed)
+    return extraction_loss(target, run_model(model, mix, clues), model.cfg.stft)
+
+
+def float64_copy(model):
+    copy = mini_model(stage=model.stage, dtype=np.float64)
+    source = model.named_tensors()
+    for name, t in copy.named_tensors().items():
+        t.data = source[name].data.astype(np.float64)
+    return copy
+
+
+class TestDtypeContract:
+    """A model computes its forward, loss and backward in its own dtype."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_loss_and_gradients_keep_model_dtype(self, dtype, stage):
+        model = mini_model(stage=stage, seed=1, dtype=dtype)
+        loss = training_loss(model, stage)
+        stray = {str(node.data.dtype) for node in Tape.trace(loss).nodes} - {np.dtype(dtype).name}
+        assert stray == set()
+        assert loss.data.dtype == dtype
+        loss.backward()
+        params = model.named_tensors()
+        assert [n for n, t in params.items() if t.grad is None] == []
+        assert {n: t.grad.dtype for n, t in params.items() if t.grad.dtype != dtype} == {}
+
+    def test_float32_extract_with_precomputed_embeddings(self, tmp_path, monkeypatch):
+        outputs = capture_run_model(monkeypatch)
+        model = mini_model(stage=2, seed=2, dtype=np.float32)
+        path = tmp_path / "text.emb"
+        rng = np.random.default_rng(0)
+        write_embedding_file(path, "text", rng.standard_normal((3, model.clue.dim)))
+        modality, emb = read_embedding_file(path)
+        clues = ClueSet(tag=onehot(0), video=rng.standard_normal((4, 5)), text=np.array([1]))
+        extract(AudioClip(mini_clip(n=800), 16000), clues, model, precomputed={modality: emb})
+        (out,) = outputs
+        assert out.segments[0] == ("text", 0, 3)
+        for t in (out.real, out.imag, out.wave, out.attention):
+            assert t.data.dtype == np.float32
+
+
+class TestFloat32GradientAccuracy:
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_matches_float64_copy(self, stage):
+        model = mini_model(stage=stage, seed=3, dtype=np.float32)
+        reference = float64_copy(model)
+        grads = []
+        for m in (model, reference):
+            training_loss(m, stage, seed=4).backward()
+            grads.append(np.concatenate([t.grad.ravel() for t in m.trainable_tensors()]))
+        g32, g64 = grads
+        assert g32.dtype == np.float32
+        assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
 
 
 class TestGradients:

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from mctse import ConfigError, ContractError, InputError, constant, parameter
+from mctse import ConfigError, ContractError, InputError, constant, parameter, train_eval
 from mctse.clue_net import ClueSet
 from mctse.data_sim import Manifest, example_from_record, simulate
 from mctse.dccrn import ClueConfig, DccrnConfig, Model, ModelOutput, load_checkpoint
@@ -350,6 +350,39 @@ class TestTrain:
         with pytest.raises(InputError, match="no train"):
             train(Manifest([]), classes, tiny_model(stage=1), TrainConfig(stage=1),
                   tmp_path / "m.ckpt")
+
+    def test_non_finite_loss_names_example_stage_and_subset(self, toy_data, tmp_path):
+        manifest, classes = toy_data
+        record = manifest.split("train")[0]
+        model = tiny_model(stage=1)
+        model.decoder[-1].br.data[0] = np.nan
+        cfg = TrainConfig(stage=1, batch_size=1, epochs=1)
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError, match=(
+                f"non-finite loss nan on example '{record['id']}' "
+                r"\(stage 1, clue subset 'tag'\)")):
+            train(type(manifest)([record]), classes, model, cfg, out)
+        assert not out.exists()
+
+    def test_non_finite_gradient_stops_before_adam(self, toy_data, tmp_path, monkeypatch):
+        manifest, classes = toy_data
+        model = tiny_model(stage=1)
+        target = model.named_tensors()["dec0.kr"]
+        real = train_eval._accumulate_example
+
+        def poisoned(*args, **kwargs):
+            loss = real(*args, **kwargs)
+            target.grad.flat[3] = np.inf
+            return loss
+
+        monkeypatch.setattr(train_eval, "_accumulate_example", poisoned)
+        before = {n: t.data.copy() for n, t in model.named_tensors().items()}
+        cfg = TrainConfig(stage=1, batch_size=2, epochs=1)
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError, match="non-finite gradient for parameter 'dec0.kr'"):
+            train(manifest, classes, model, cfg, out)
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.named_tensors().items())
+        assert not out.exists()
 
     def test_stage2_training_runs(self, toy_data, tmp_path):
         manifest, classes = toy_data
