@@ -25,6 +25,7 @@ from . import ops
 from .clue_net import (
     ClueNetParams,
     ClueSet,
+    EmbeddingSeq,
     concat_clues,
     encode_clues,
     encode_sound,
@@ -42,7 +43,7 @@ from .nn_blocks import (
     complex_lstm_enhance,
     uniform_init,
 )
-from .signal import SAMPLE_RATE, AudioClip, ComplexSpec, StftConfig, istft_array, istft_op, stft_array
+from .signal import SAMPLE_RATE, AudioClip, ComplexSpec, StftConfig, istft_op, stft_array
 from .tensor import Tensor, constant, no_grad
 
 FREQ_KERNEL = 5
@@ -153,7 +154,8 @@ def _lstm_named(p: LstmParams, prefix: str) -> dict[str, Tensor]:
 
 
 class Model:
-    """All parameters of the extraction network plus both clue paths."""
+    """All parameters of the extraction network, the tag embedding and, in
+    stage 2, the clue network."""
 
     def __init__(
         self,
@@ -198,19 +200,23 @@ class Model:
         self.proj_r = LinearParams.init(rng, width, d, dtype)
         self.proj_i = LinearParams.init(rng, width, d, dtype)
         self.tag_tile = LinearParams.init(rng, num_classes, d, dtype)
-        self.clue = ClueNetParams(
-            rng,
-            dim=d,
-            num_classes=num_classes,
-            vocab_size=vocab_size,
-            bins=self.cfg.stft.bins,
-            sound_channels=self.clue_cfg.sound_channels,
-            downsample=self.clue_cfg.downsample,
-            text_raw_dim=self.clue_cfg.text_raw_dim,
-            video_raw_dim=self.clue_cfg.video_raw_dim,
-            heads=self.clue_cfg.heads,
-            dtype=dtype,
-        )
+        # The clue network is drawn last and only in stage 2, so a stage-1
+        # model draws exactly the parameters it trains and saves.
+        self.clue: ClueNetParams | None = None
+        if stage == 2:
+            self.clue = ClueNetParams(
+                rng,
+                dim=d,
+                num_classes=num_classes,
+                vocab_size=vocab_size,
+                bins=self.cfg.stft.bins,
+                sound_channels=self.clue_cfg.sound_channels,
+                downsample=self.clue_cfg.downsample,
+                text_raw_dim=self.clue_cfg.text_raw_dim,
+                video_raw_dim=self.clue_cfg.video_raw_dim,
+                heads=self.clue_cfg.heads,
+                dtype=dtype,
+            )
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -342,19 +348,41 @@ class ModelOutput:
     segments: list[tuple[str, int, int]] | None = None
 
 
-def run_model(
-    model: Model,
-    mixture: np.ndarray,
-    clues: ClueSet,
-    precomputed: dict[str, np.ndarray] | None = None,
-) -> ModelOutput:
-    """Full differentiable forward pass from waveform to waveform."""
+@dataclass
+class MixtureEncoding:
+    """The part of the forward that the clue does not enter.
+
+    Every clue set for one mixture reuses it: the spectrum, the flattened
+    [T x D] bottleneck features, the encoder skips and, in stage 2 only, the
+    sound-embedding queries.
+    """
+
+    spec: ComplexSpec
+    features: ComplexFeature
+    skips: list[ComplexFeature]
+    sound: EmbeddingSeq | None
+    length: int  # samples in the mixture, and so in the estimate
+
+
+def encode_mixture(model: Model, mixture: np.ndarray) -> MixtureEncoding:
+    """STFT, U-Net encoder and (stage 2) sound embedding of one waveform."""
     mixture = np.asarray(mixture, dtype=np.float64).reshape(-1)
     cfg = model.cfg.stft
     spec_c = stft_array(mixture, cfg)
     spec = ComplexSpec(spec_c.real.copy(), spec_c.imag.copy(), cfg)
-    frames = spec.frames
-    y, skips = model.encode(spec)
+    features, skips = model.encode(spec)
+    sound = encode_sound(spec, model.clue) if model.stage == 2 else None
+    return MixtureEncoding(spec, features, skips, sound, len(mixture))
+
+
+def run_encoded(
+    model: Model,
+    enc: MixtureEncoding,
+    clues: ClueSet,
+    precomputed: dict[str, np.ndarray] | None = None,
+) -> ModelOutput:
+    """The clue step: condition, enhance and decode an encoded mixture."""
+    frames = enc.spec.frames
     attention = None
     segments = None
     if model.stage == 1:
@@ -362,14 +390,38 @@ def run_model(
             raise ContractError("a stage-1 model conditions on the tag clue only")
         clue_vec = model.tag_clue(clues.tag, frames)
     else:
-        q = encode_sound(spec, model.clue)
         u, segments = concat_clues(encode_clues(clues, model.clue, precomputed))
-        fused, attention = fuse_clues(q, u, model.clue.mha)
+        fused, attention = fuse_clues(enc.sound, u, model.clue.mha)
         clue_vec = upsample_clue(fused.data, frames, model.clue.downsample)
-    enhanced = model.enhance(y, clue_vec)
-    decoded = model.decode(enhanced, skips)
-    wave = istft_op(decoded.real, decoded.imag, cfg, out_len=len(mixture))
+    enhanced = model.enhance(enc.features, clue_vec)
+    decoded = model.decode(enhanced, enc.skips)
+    wave = istft_op(decoded.real, decoded.imag, model.cfg.stft, out_len=enc.length)
     return ModelOutput(decoded.real, decoded.imag, wave, attention, segments)
+
+
+def run_model(
+    model: Model,
+    mixture: np.ndarray,
+    clues: ClueSet,
+    precomputed: dict[str, np.ndarray] | None = None,
+) -> ModelOutput:
+    """Full differentiable forward pass from waveform to waveform."""
+    return run_encoded(model, encode_mixture(model, mixture), clues, precomputed)
+
+
+def check_sample_rate(mixture: AudioClip) -> None:
+    """Reject a mixture that is not at the model's rate; nothing is resampled."""
+    if mixture.sample_rate != SAMPLE_RATE:
+        raise InputError(
+            f"mixture is sampled at {mixture.sample_rate} Hz; the model expects "
+            f"{SAMPLE_RATE} Hz"
+        )
+
+
+def _estimate(out: ModelOutput, rate: int) -> tuple[AudioClip, np.ndarray | None]:
+    clip = AudioClip(np.asarray(out.wave.data, dtype=np.float64), rate)
+    attention = None if out.attention is None else np.array(out.attention.data)
+    return clip, attention
 
 
 def extract(
@@ -383,16 +435,28 @@ def extract(
     The forward runs under no_grad(), so no graph is kept while it runs.
     The mixture must be at the model's rate; nothing is resampled.
     """
-    if mixture.sample_rate != SAMPLE_RATE:
-        raise InputError(
-            f"mixture is sampled at {mixture.sample_rate} Hz; the model expects "
-            f"{SAMPLE_RATE} Hz"
-        )
+    check_sample_rate(mixture)
     with no_grad():
         out = run_model(model, mixture.samples, clues, precomputed)
-    clip = AudioClip(np.asarray(out.wave.data, dtype=np.float64), mixture.sample_rate)
-    attention = None if out.attention is None else np.array(out.attention.data)
-    return clip, attention
+    return _estimate(out, mixture.sample_rate)
+
+
+def extract_each(
+    mixture: AudioClip,
+    clue_sets: list[ClueSet],
+    model: Model,
+) -> list[tuple[AudioClip, np.ndarray | None]]:
+    """extract() of one mixture under each clue set, encoding the mixture once.
+
+    The results are byte-identical to calling extract() once per clue set:
+    the clue step runs the same ops on the same encoded arrays, and under
+    no_grad() nothing it computes is written back into them.
+    """
+    check_sample_rate(mixture)
+    with no_grad():
+        enc = encode_mixture(model, mixture.samples)
+        return [_estimate(run_encoded(model, enc, clues), mixture.sample_rate)
+                for clues in clue_sets]
 
 
 # ---------------------------------------------------------------------------

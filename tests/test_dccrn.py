@@ -15,9 +15,12 @@ from mctse.dccrn import (
     ClueConfig,
     DccrnConfig,
     Model,
+    encode_mixture,
     extract,
+    extract_each,
     load_checkpoint,
     model_from_config,
+    run_encoded,
     run_model,
     save_checkpoint,
 )
@@ -304,13 +307,13 @@ class TestTapeFreeExtract:
         assert tape_free < with_graph / 3
 
 
-def training_loss(model, stage, seed=0, n=800):
+def training_loss(model, stage, seed=0, n=800, forward=run_model):
     """Loss of one training forward of the mini model on a seeded clip."""
     rng = np.random.default_rng(seed)
     target = AudioClip(rng.standard_normal(n) * 0.1, 16000)
     mix = target.samples + rng.standard_normal(n) * 0.1
     clues = ClueSet(tag=onehot(1)) if stage == 1 else full_clues(seed)
-    return extraction_loss(target, run_model(model, mix, clues), model.cfg.stft)
+    return extraction_loss(target, forward(model, mix, clues), model.cfg.stft)
 
 
 def float64_copy(model):
@@ -319,6 +322,55 @@ def float64_copy(model):
     for name, t in copy.named_tensors().items():
         t.data = source[name].data.astype(np.float64)
     return copy
+
+
+class TestEncodedForward:
+    """The forward in two steps: encode the mixture once, then one clue step per clue set."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_two_steps_match_run_model_loss_and_gradients(self, stage):
+        def two_steps(model, mix, clues):
+            return run_encoded(model, encode_mixture(model, mix), clues)
+
+        results = []
+        for forward in (run_model, two_steps):
+            model = mini_model(stage=stage, seed=5, dtype=np.float32)
+            loss = training_loss(model, stage, seed=6, forward=forward)
+            loss.backward()
+            grads = {name: t.grad.tobytes() for name, t in model.named_tensors().items()}
+            results.append((loss.data.tobytes(), grads))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_extract_each_matches_extract(self, stage):
+        model = mini_model(stage=stage, seed=4, dtype=np.float32)
+        clip = AudioClip(mini_clip(seed=2, n=800), 16000)
+        if stage == 1:
+            clue_sets = [ClueSet(tag=onehot(i)) for i in range(NUM_CLASSES)]
+        else:
+            clue_sets = [full_clues(seed=1), ClueSet(tag=onehot(0)),
+                         ClueSet(text=np.array([3, 1])), full_clues(seed=2)]
+        shared = extract_each(clip, clue_sets, model)
+        assert len(shared) == len(clue_sets)
+        for clues, (estimate, attention) in zip(clue_sets, shared):
+            reference, ref_attention = extract(clip, clues, model)
+            assert estimate.sample_rate == reference.sample_rate
+            assert estimate.samples.tobytes() == reference.samples.tobytes()
+            if stage == 1:
+                assert attention is None and ref_attention is None
+            else:
+                assert attention.tobytes() == ref_attention.tobytes()
+
+    def test_stage1_encoding_has_no_sound_queries(self):
+        enc = encode_mixture(mini_model(stage=1), mini_clip(n=800))
+        assert enc.sound is None
+        assert enc.length == 800
+        assert len(enc.skips) == len(MINI_CFG.channels)
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_extract_each_rejects_other_sample_rates(self, rate):
+        with pytest.raises(InputError, match=f"{rate} Hz"):
+            extract_each(AudioClip(mini_clip(), rate), [ClueSet(tag=onehot(0))], mini_model())
 
 
 class TestDtypeContract:

@@ -8,11 +8,12 @@ import pytest
 from mctse import ConfigError, ContractError, InputError, constant, parameter, train_eval
 from mctse.clue_net import ClueSet
 from mctse.data_sim import Manifest, example_from_record, simulate
-from mctse.dccrn import ClueConfig, DccrnConfig, Model, ModelOutput, load_checkpoint
+from mctse.dccrn import ClueConfig, DccrnConfig, Model, ModelOutput, extract, load_checkpoint
 from mctse.gradcheck import check_gradients
 from mctse.signal import AudioClip, StftConfig, snr_improvement, stft_array
 from mctse.train_eval import (
     ALL_SUBSETS,
+    MODALITIES,
     AdamState,
     EvalReport,
     LossConfig,
@@ -408,6 +409,24 @@ class TestWarmStart:
         b = stage2_from_stage1(stage1, seed=5)
         assert not np.array_equal(a.clue.mha.wq.data, b.clue.mha.wq.data)
 
+    def test_stage1_model_has_no_clue_net(self):
+        stage1 = tiny_model(stage=1, seed=9)
+        assert stage1.clue is None
+        assert not any(name.startswith("clue.") for name in stage1.named_tensors())
+        # The clue network is drawn last, so stage 1 draws what stage 2 draws before it.
+        same_seed = tiny_model(stage=2, seed=9)
+        for name, tensor in stage1.backbone_named().items():
+            assert np.array_equal(tensor.data, same_seed.backbone_named()[name].data)
+        assert np.array_equal(stage1.tag_tile.w.data, same_seed.tag_tile.w.data)
+
+    def test_warm_start_draws_a_clue_net(self):
+        stage2 = stage2_from_stage1(tiny_model(stage=1, seed=9), seed=4)
+        fresh = tiny_model(stage=2, seed=4).clue.named_tensors()
+        drawn = stage2.clue.named_tensors()
+        assert sorted(drawn) == sorted(fresh)
+        for name, tensor in drawn.items():
+            assert np.array_equal(tensor.data, fresh[name].data)
+
     def test_requires_stage1(self):
         with pytest.raises(ContractError, match="stage-1"):
             stage2_from_stage1(stage2_from_stage1(tiny_model(stage=1)))
@@ -505,6 +524,70 @@ class TestEvaluate:
                              subsets=["tag"], corrupt="text", corrupt_seed=3)
         assert clean.rows == corrupted.rows
 
+    @pytest.mark.parametrize("corrupt", [None, "both"])
+    @pytest.mark.parametrize("stage, subsets", [(1, ("tag",)), (2, ALL_SUBSETS)])
+    def test_shared_encoding_matches_per_subset_extract(self, toy_data, stage, subsets, corrupt):
+        manifest, classes = toy_data
+        model = tiny_model(stage=stage)
+        kwargs = dict(split="test-seen", subsets=subsets, corrupt=corrupt, corrupt_seed=7)
+        shared = evaluate(manifest, classes, model, **kwargs)
+        per_subset = evaluate(manifest, classes, model, extract_fn=extract, **kwargs)
+        assert len(shared.rows) == len(subsets) * len(manifest.split("test-seen"))
+        assert [(r["id"], r["subset"]) for r in shared.rows] == [
+            (r["id"], r["subset"]) for r in per_subset.rows]
+        assert np.array([r["snri_db"] for r in shared.rows]).tobytes() == np.array(
+            [r["snri_db"] for r in per_subset.rows]).tobytes()
+
+    def test_each_mixture_is_encoded_once(self, toy_data, monkeypatch):
+        from mctse import dccrn
+
+        manifest, classes = toy_data
+        calls = {"encode": 0, "encode_sound": 0}
+        encode, encode_sound = Model.encode, dccrn.encode_sound
+
+        def counting_encode(self, spec):
+            calls["encode"] += 1
+            return encode(self, spec)
+
+        def counting_encode_sound(spec, params):
+            calls["encode_sound"] += 1
+            return encode_sound(spec, params)
+
+        monkeypatch.setattr(Model, "encode", counting_encode)
+        monkeypatch.setattr(dccrn, "encode_sound", counting_encode_sound)
+        evaluate(manifest, classes, tiny_model(stage=2), split="test-seen", subsets=ALL_SUBSETS)
+        records = len(manifest.split("test-seen"))
+        assert calls == {"encode": records, "encode_sound": records}
+
+    def test_custom_extract_fn_called_once_per_subset(self, toy_data):
+        manifest, classes = toy_data
+        model = tiny_model(stage=2)
+        seen = []
+
+        def identity(mixture, clues, m):
+            seen.append((mixture, clues, m))
+            return mixture, None
+
+        evaluate(manifest, classes, model, split="test-seen", subsets=ALL_SUBSETS,
+                 extract_fn=identity)
+        records = len(manifest.split("test-seen"))
+        assert len(seen) == records * len(ALL_SUBSETS)
+        assert all(m is model and isinstance(mix, AudioClip) for mix, _, m in seen)
+        present = [tuple(k for k in MODALITIES if getattr(c, k) is not None) for _, c, _ in seen]
+        assert present == [parse_subset(name) for name in ALL_SUBSETS] * records
+
+    def test_mixture_at_another_rate_rejected(self, toy_data, monkeypatch):
+        manifest, classes = toy_data
+
+        def at_8k(record, table):
+            example = example_from_record(record, table)
+            example.mixture = AudioClip(example.mixture.samples, 8000)
+            return example
+
+        monkeypatch.setattr(train_eval, "example_from_record", at_8k)
+        with pytest.raises(InputError, match="8000 Hz"):
+            evaluate(manifest, classes, tiny_model(stage=1), split="test-seen", subsets=["tag"])
+
     def test_empty_subsets_rejected(self, toy_data):
         manifest, classes = toy_data
         with pytest.raises(InputError):
@@ -525,6 +608,16 @@ class TestEvaluate:
         report = EvalReport(split="test-seen", subsets=["tag"], rows=[])
         with pytest.raises(InputError):
             report.mean("tag")
+
+    def test_report_spread(self):
+        values = [3.0, 9.0, 0.0, 6.0, 1.0, 10.0, 4.0, 8.0, 2.0, 7.0, 5.0]
+        rows = [{"id": f"r{i}", "subset": "tag", "snri_db": v} for i, v in enumerate(values)]
+        rows.append({"id": "r0", "subset": "text", "snri_db": -2.5})
+        report = EvalReport(split="test-seen", subsets=["tag", "text"], rows=rows)
+        assert report.spread("tag") == {"median": 5.0, "p10": 1.0, "p90": 9.0}
+        assert report.spread("text") == {"median": -2.5, "p10": -2.5, "p90": -2.5}
+        with pytest.raises(InputError):
+            report.spread("video")
 
 
 class TestWriteReport:
