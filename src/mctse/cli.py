@@ -7,16 +7,23 @@ import copy
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .clue_net import ClueSet, read_embedding_file
 from .data_sim import example_from_record, read_classes, read_manifest, simulate
-from .dccrn import ClueConfig, DccrnConfig, Model, extract, load_checkpoint
+from .dccrn import (
+    Model,
+    extract,
+    load_checkpoint,
+    model_from_config,
+    model_section,
+    overlay_settings,
+)
 from .errors import ConfigError, ContractError, InputError
-from .signal import StftConfig, read_wav, write_wav
+from .signal import read_wav, write_wav
 from .train_eval import (
-    DEFAULT_SUBSET_WEIGHTS,
     LossConfig,
     TrainConfig,
     dump_attention,
@@ -26,50 +33,16 @@ from .train_eval import (
     write_report,
 )
 
+# Every default comes from the config dataclasses; a train command's stage is
+# its --stage option, not a setting.
 DEFAULT_CONFIG = {
-    "model": {
-        "channels": [8, 16, 32, 32],
-        "lstm_hidden": 64,
-        "lstm_layers": 2,
-        "vocab_size": 64,
-        "stft": {"fft_size": 512, "win_len": 400, "hop": 100},
-        "clue": {
-            "sound_channels": 4,
-            "downsample": 4,
-            "text_raw_dim": 16,
-            "video_raw_dim": 32,
-            "heads": 4,
-        },
-    },
-    "train": {
-        "lr0": 0.5e-4,
-        "decay": 0.97,
-        "batch_size": 8,
-        "epochs": 200,
-        "patience": 10,
-        "seed": 0,
-        "subset_weights": dict(DEFAULT_SUBSET_WEIGHTS),
-    },
-    "loss": {"l1_weight": 5.0, "snr_clamp_db": 120.0},
+    "model": model_section(),
+    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "stage"},
+    "loss": asdict(LossConfig()),
 }
 
 # Dict-valued settings whose keys are data, not nested config structure.
-_LEAF_DICTS = {"subset_weights"}
-
-
-def _merge(defaults: dict, overrides: dict, trail: str) -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        where = f"{trail}.{key}" if trail else key
-        if key not in defaults:
-            raise InputError(f"unknown config key {where!r}")
-        if isinstance(defaults[key], dict) and key not in _LEAF_DICTS:
-            if not isinstance(value, dict):
-                raise InputError(f"config key {where!r} must be an object")
-            merged[key] = _merge(defaults[key], value, where)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+_LEAF_DICTS = frozenset({"subset_weights"})
 
 
 def load_config(path=None) -> dict:
@@ -83,28 +56,15 @@ def load_config(path=None) -> dict:
         raise InputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed config JSON: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise InputError(f"{path}: config must be a JSON object")
-    return _merge(DEFAULT_CONFIG, overrides, "")
+    try:
+        return overlay_settings(DEFAULT_CONFIG, overrides, whole=_LEAF_DICTS)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def build_model(config: dict, stage: int, num_classes: int, seed: int) -> Model:
-    section = config["model"]
-    cfg = DccrnConfig(
-        channels=tuple(section["channels"]),
-        lstm_hidden=section["lstm_hidden"],
-        lstm_layers=section["lstm_layers"],
-        stft=StftConfig(**section["stft"]),
-    )
-    return Model(
-        np.random.default_rng(seed),
-        cfg,
-        num_classes=num_classes,
-        vocab_size=section["vocab_size"],
-        clue_cfg=ClueConfig(**section["clue"]),
-        stage=stage,
-        dtype=np.float32,
-    )
+    return model_from_config({**config["model"], "stage": stage, "num_classes": num_classes},
+                             np.random.default_rng(seed))
 
 
 def _classes_beside(manifest_path) -> list:

@@ -15,14 +15,14 @@ attributed afterwards.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, ContractError, InputError
 from .nn_blocks import LinearParams, MhaParams, apply_linear, multi_head_attention, uniform_init
-from .signal import ComplexSpec
+from .signal import ComplexSpec, StftConfig
 from .tensor import Tensor, constant
 
 MODALITY_ORDER = ("text", "video", "tag")
@@ -66,6 +66,15 @@ class ClueSet:
         return tuple(present)
 
 
+@dataclass(frozen=True)
+class ClueConfig:
+    sound_channels: int = 4
+    downsample: int = 4
+    text_raw_dim: int = 16
+    video_raw_dim: int = 32
+    heads: int = 4
+
+
 @dataclass
 class EmbeddingSeq:
     data: Tensor
@@ -107,9 +116,6 @@ class ProjectionParams:
     def apply(self, x: Tensor) -> Tensor:
         return ops.relu(apply_linear(ops.layer_norm(x, self.ln_gain, self.ln_bias), self.lin))
 
-    def tensors(self) -> list[Tensor]:
-        return [self.ln_gain, self.ln_bias] + self.lin.tensors()
-
 
 class ClueNetParams:
     """All trainable weights of the clue encoders and the fusion attention."""
@@ -120,12 +126,12 @@ class ClueNetParams:
         dim: int,
         num_classes: int,
         vocab_size: int,
-        bins: int = 257,
-        sound_channels: int = 4,
-        downsample: int = 4,
-        text_raw_dim: int = 16,
-        video_raw_dim: int = 32,
-        heads: int = 4,
+        bins: int = StftConfig().bins,
+        sound_channels: int = ClueConfig.sound_channels,
+        downsample: int = ClueConfig.downsample,
+        text_raw_dim: int = ClueConfig.text_raw_dim,
+        video_raw_dim: int = ClueConfig.video_raw_dim,
+        heads: int = ClueConfig.heads,
         dtype=np.float64,
     ):
         if downsample < 1:
@@ -149,26 +155,9 @@ class ClueNetParams:
         self.tag_lin = LinearParams.init(rng, num_classes, dim, dtype)
         self.mha = MhaParams.init(rng, dim, heads, dtype)
 
-    def modality_tensors(self, modality: str) -> list[Tensor]:
-        if modality == "sound":
-            return [self.sound_kernel, self.sound_bias] + self.sound_proj.tensors()
-        if modality == "text":
-            return [self.text_table] + self.text_proj.tensors()
-        if modality == "video":
-            return self.video_proj.tensors()
-        if modality == "tag":
-            return self.tag_lin.tensors()
-        if modality == "attention":
-            return self.mha.tensors()
-        raise ContractError(f"unknown modality {modality!r}")
-
-    def tensors(self) -> list[Tensor]:
-        out = []
-        for m in ("sound", "text", "video", "tag", "attention"):
-            out.extend(self.modality_tensors(m))
-        return out
-
     def named_tensors(self) -> dict[str, Tensor]:
+        """Every parameter, named "<modality>.<part>" with modality one of
+        sound, text, video, tag or attention."""
         names = {}
         names["sound.kernel"] = self.sound_kernel
         names["sound.bias"] = self.sound_bias
@@ -187,6 +176,16 @@ class ClueNetParams:
         for n, t in zip(("wq", "wk", "wv", "wo"), self.mha.tensors()):
             names[f"attention.{n}"] = t
         return names
+
+    def modality_tensors(self, modality: str) -> list[Tensor]:
+        found = [t for name, t in self.named_tensors().items()
+                 if name.partition(".")[0] == modality]
+        if not found:
+            raise ContractError(f"unknown modality {modality!r}")
+        return found
+
+    def tensors(self) -> list[Tensor]:
+        return list(self.named_tensors().values())
 
 
 # ---------------------------------------------------------------------------

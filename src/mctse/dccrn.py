@@ -14,15 +14,17 @@ records behind a JSON config header and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import ops
 from .clue_net import (
+    ClueConfig,
     ClueNetParams,
     ClueSet,
     EmbeddingSeq,
@@ -32,6 +34,7 @@ from .clue_net import (
     fuse_clues,
     upsample_clue,
 )
+from .data_sim import VOCAB
 from .errors import ConfigError, ContractError, InputError
 from .nn_blocks import (
     ComplexFeature,
@@ -53,6 +56,8 @@ FREQ_PAD = 2
 
 CKPT_MAGIC = b"MCTSE1"
 CKPT_VERSION = 1
+
+VOCAB_SIZE = len(VOCAB)  # text clues are token ids into the simulator's vocabulary
 
 
 @dataclass(frozen=True)
@@ -93,15 +98,6 @@ class DccrnConfig:
         return self.channels[-1] * self.freq_sizes()[-1]
 
 
-@dataclass(frozen=True)
-class ClueConfig:
-    sound_channels: int = 4
-    downsample: int = 4
-    text_raw_dim: int = 16
-    video_raw_dim: int = 32
-    heads: int = 4
-
-
 @dataclass
 class ComplexConvParams:
     kr: Tensor
@@ -126,12 +122,6 @@ class ComplexConvParams:
             slope_r=slope() if activation else None,
             slope_i=slope() if activation else None,
         )
-
-    def tensors(self) -> list[Tensor]:
-        out = [self.kr, self.ki, self.br, self.bi]
-        if self.slope_r is not None:
-            out.extend([self.slope_r, self.slope_i])
-        return out
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         names = {f"{prefix}.kr": self.kr, f"{prefix}.ki": self.ki,
@@ -162,7 +152,7 @@ class Model:
         rng: np.random.Generator,
         cfg: DccrnConfig | None = None,
         num_classes: int = 4,
-        vocab_size: int = 64,
+        vocab_size: int = VOCAB_SIZE,
         clue_cfg: ClueConfig | None = None,
         stage: int = 1,
         dtype=np.float64,
@@ -210,12 +200,8 @@ class Model:
                 num_classes=num_classes,
                 vocab_size=vocab_size,
                 bins=self.cfg.stft.bins,
-                sound_channels=self.clue_cfg.sound_channels,
-                downsample=self.clue_cfg.downsample,
-                text_raw_dim=self.clue_cfg.text_raw_dim,
-                video_raw_dim=self.clue_cfg.video_raw_dim,
-                heads=self.clue_cfg.heads,
                 dtype=dtype,
+                **asdict(self.clue_cfg),
             )
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -463,49 +449,72 @@ def extract_each(
 # checkpoints
 
 
-def _config_dict(model: Model) -> dict:
-    return {
-        "stage": model.stage,
-        "num_classes": model.num_classes,
-        "vocab_size": model.vocab_size,
-        "channels": list(model.cfg.channels),
-        "lstm_hidden": model.cfg.lstm_hidden,
-        "lstm_layers": model.cfg.lstm_layers,
-        "stft": {
-            "fft_size": model.cfg.stft.fft_size,
-            "win_len": model.cfg.stft.win_len,
-            "hop": model.cfg.stft.hop,
-        },
-        "clue": {
-            "sound_channels": model.clue_cfg.sound_channels,
-            "downsample": model.clue_cfg.downsample,
-            "text_raw_dim": model.clue_cfg.text_raw_dim,
-            "video_raw_dim": model.clue_cfg.video_raw_dim,
-            "heads": model.clue_cfg.heads,
-        },
-    }
+def model_section(cfg: DccrnConfig = DccrnConfig(), clue_cfg: ClueConfig = ClueConfig(),
+                  vocab_size: int = VOCAB_SIZE) -> dict:
+    """The JSON form of an architecture: the "model" settings of a config file.
+
+    With "stage" and "num_classes" added it is a checkpoint's header.
+    """
+    section = asdict(cfg)
+    section.update(channels=list(cfg.channels), vocab_size=vocab_size, clue=asdict(clue_cfg))
+    return section
 
 
-def model_from_config(config: dict, rng: np.random.Generator | None = None, dtype=np.float32) -> Model:
-    try:
-        cfg = DccrnConfig(
-            channels=tuple(config["channels"]),
-            lstm_hidden=config["lstm_hidden"],
-            lstm_layers=config["lstm_layers"],
-            stft=StftConfig(**config["stft"]),
-        )
-        clue_cfg = ClueConfig(**config["clue"])
-        return Model(
-            rng or np.random.default_rng(0),
-            cfg,
-            num_classes=config["num_classes"],
-            vocab_size=config["vocab_size"],
-            clue_cfg=clue_cfg,
-            stage=config["stage"],
-            dtype=dtype,
-        )
-    except KeyError as exc:
-        raise InputError(f"checkpoint config is missing key {exc}") from None
+def _fits(default, value) -> bool:
+    """Whether value has the JSON type of default; an integer fits a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, dict):
+        sample = next(iter(default.values()))
+        return isinstance(value, dict) and all(_fits(sample, v) for v in value.values())
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def overlay_settings(defaults: dict, given, trail: str = "", complete: bool = False,
+                     whole: frozenset = frozenset()) -> dict:
+    """given's settings laid over defaults, whose values fix each setting's type.
+
+    An unknown key, a value of another JSON type than its default and, when
+    complete, a missing key are InputErrors naming the dotted key. Objects
+    merge key by key, except the dict-valued settings named in whole, which
+    are replaced.
+    """
+    if not isinstance(given, dict):
+        raise InputError(f"config key {trail!r} must be an object" if trail
+                         else "config must be a JSON object")
+
+    def dotted(key: str) -> str:
+        return f"{trail}.{key}" if trail else key
+
+    unknown = [key for key in given if key not in defaults]
+    if unknown:
+        raise InputError(f"unknown config key {dotted(unknown[0])!r}")
+    missing = [key for key in defaults if key not in given]
+    if complete and missing:
+        raise InputError(f"config is missing key {dotted(missing[0])!r}")
+    merged = copy.deepcopy(defaults)
+    for key, value in given.items():
+        default = defaults[key]
+        if isinstance(default, dict) and key not in whole:
+            merged[key] = overlay_settings(default, value, dotted(key), complete, whole)
+        elif not _fits(default, value):
+            raise InputError(f"config key {dotted(key)!r} must have the type of "
+                             f"{default!r}, got {value!r}")
+        else:
+            merged[key] = copy.deepcopy(value)
+    return merged
+
+
+def model_from_config(config: dict, rng: np.random.Generator | None = None,
+                      dtype=np.float32) -> Model:
+    """The model that model_section() plus "stage" and "num_classes" describes."""
+    template = {**model_section(), "stage": 1, "num_classes": 1}  # values fix only types
+    settings = overlay_settings(template, config, complete=True)
+    backbone = {f.name: settings.pop(f.name) for f in fields(DccrnConfig)}
+    backbone.update(channels=tuple(backbone["channels"]), stft=StftConfig(**backbone["stft"]))
+    return Model(rng or np.random.default_rng(0), DccrnConfig(**backbone),
+                 clue_cfg=ClueConfig(**settings.pop("clue")), dtype=dtype, **settings)
 
 
 def save_checkpoint(path, model: Model) -> None:
@@ -513,7 +522,9 @@ def save_checkpoint(path, model: Model) -> None:
     blob = bytearray()
     blob += CKPT_MAGIC
     blob += struct.pack("<I", CKPT_VERSION)
-    cfg_json = json.dumps(_config_dict(model), sort_keys=True).encode("utf-8")
+    header = {**model_section(model.cfg, model.clue_cfg, model.vocab_size),
+              "stage": model.stage, "num_classes": model.num_classes}
+    cfg_json = json.dumps(header, sort_keys=True).encode("utf-8")
     blob += struct.pack("<I", len(cfg_json))
     blob += cfg_json
     named = model.named_tensors()
@@ -567,7 +578,10 @@ def load_checkpoint(path) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: unreadable checkpoint config: {exc}") from None
 
-    model = model_from_config(config, dtype=np.float32)
+    try:
+        model = model_from_config(config, dtype=np.float32)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     expected = model.named_tensors()
     seen = set()
     while pos < len(blob):

@@ -19,7 +19,7 @@ from .data_sim import (
 )
 from .dccrn import Model, ModelOutput, extract_each, run_model, save_checkpoint
 from .errors import ConfigError, ContractError, InputError
-from .signal import AudioClip, StftConfig, snr_improvement, stft_array
+from .signal import SNR_CLAMP_DB, AudioClip, StftConfig, snr_improvement, stft_array
 from .tensor import Tensor, constant, no_grad, zero_grads
 
 MODALITIES = ("tag", "text", "video")
@@ -72,7 +72,7 @@ def restrict_clues(clues: ClueSet, subset: tuple[str, ...]) -> ClueSet:
 @dataclass(frozen=True)
 class LossConfig:
     l1_weight: float = 5.0
-    snr_clamp_db: float = 120.0
+    snr_clamp_db: float = SNR_CLAMP_DB
 
     def __post_init__(self):
         if self.l1_weight < 0:
@@ -250,13 +250,21 @@ def _clues_for_validation(example_clues: ClueSet, stage: int) -> ClueSet:
 
 def _mean_valid_loss(records: list[dict], classes: list[SoundClass], model: Model,
                      loss_cfg: LossConfig) -> float:
+    """Mean loss over the records; a non-finite one is rejected, so that the
+    first epoch always improves on the initial best and saves a checkpoint."""
     total = 0.0
     with no_grad():
         for record in records:
             example = example_from_record(record, classes)
             clues = _clues_for_validation(example.clues, model.stage)
             out = run_model(model, example.mixture.samples, clues)
-            total += float(extraction_loss(example.target, out, model.cfg.stft, loss_cfg).data)
+            value = float(extraction_loss(example.target, out, model.cfg.stft, loss_cfg).data)
+            if not np.isfinite(value):
+                raise ContractError(
+                    f"non-finite validation loss {value} on example {record['id']!r} "
+                    f"(stage {model.stage})"
+                )
+            total += value
     return total / len(records)
 
 

@@ -700,3 +700,18 @@ def test_attention_dump_layout(toy_run, capfd):
         assert grid.shape[0] == -(-frames // ClueConfig().downsample)
         assert np.all(grid >= 0.0)
         np.testing.assert_allclose(grid.sum(axis=1), 1.0, rtol=0, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# 11. the other clues compensate for a corrupted one
+
+
+def test_other_clues_compensate_for_a_corrupted_one(toy_run, capfd):
+    with verdict(capfd, 11, "with text or video corrupted, adding another clue never scores "
+                            "below the corrupted clue alone"):
+        for report, corrupted in ((toy_run.text_hit, "text"), (toy_run.video_hit, "video")):
+            alone = report.mean(corrupted)
+            for subset in (f"tag+{corrupted}", "text+video"):
+                assert report.mean(subset) >= alone, (
+                    f"{corrupted} corrupted: {subset} {report.mean(subset):+.2f} dB "
+                    f"< {corrupted} alone {alone:+.2f} dB")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestConfigLoading:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             load_config(tmp_path / "absent.json")
+
+    def test_integer_accepted_where_default_is_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"loss": {"l1_weight": 2}}))
+        assert load_config(path)["loss"]["l1_weight"] == 2
+
+    def test_readme_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == load_config(None)
 
     def test_defaults_not_mutated(self, tmp_path):
         path = tmp_path / "c.json"
@@ -211,6 +223,25 @@ class TestTrainCommand:
             "train", "--stage", "1", "--manifest", str(lonely),
             "--config", str(workspace["config"]), "--out", str(tmp_path / "x.ckpt"),
         ]) == 2
+
+
+    @pytest.mark.parametrize("bad,key", [
+        ({"model": {"channels": 5}}, "model.channels"),
+        ({"train": {"lr0": "fast"}}, "train.lr0"),
+        ({"train": {"epochs": 2.5}}, "train.epochs"),
+        ({"train": {"subset_weights": {"tag": "high"}}}, "train.subset_weights"),
+    ])
+    def test_value_of_wrong_type_is_input_error_naming_key(self, workspace, tmp_path,
+                                                           capsys, bad, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "x.ckpt"
+        assert main([
+            "train", "--stage", "1", "--manifest", str(workspace["manifest"]),
+            "--config", str(path), "--out", str(out),
+        ]) == 2
+        assert f"bad.json: config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExtractCommand:

@@ -366,6 +366,20 @@ class TestGradientIsolation:
         assert all(t.grad is None for t in p.modality_tensors("video"))
 
 
+class TestParameterGroups:
+    def test_modalities_partition_the_named_parameters(self):
+        p = small_params()
+        groups = [p.modality_tensors(m) for m in ("sound", "text", "video", "tag", "attention")]
+        grouped = [id(t) for group in groups for t in group]
+        assert sorted(grouped) == sorted(id(t) for t in p.named_tensors().values())
+        assert len(groups[0]) == 6 and len(groups[1]) == 5 and len(groups[2]) == 4
+        assert sorted(map(id, p.tensors())) == sorted(grouped)
+
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ContractError, match="unknown modality"):
+            small_params().modality_tensors("audio")
+
+
 class TestFullPipelineGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_differences_through_fusion(self, seed):

@@ -1,6 +1,7 @@
 """Tests for the complex U-Net extraction model and its checkpoint format."""
 
 import builtins
+import json
 import struct
 import tracemalloc
 
@@ -20,6 +21,7 @@ from mctse.dccrn import (
     extract_each,
     load_checkpoint,
     model_from_config,
+    model_section,
     run_encoded,
     run_model,
     save_checkpoint,
@@ -597,3 +599,50 @@ class TestCheckpoint:
     def test_config_missing_key_rejected(self):
         with pytest.raises(InputError, match="missing key"):
             model_from_config({"stage": 1})
+
+
+def _split_header(path):
+    """(bytes before the JSON header, the header, bytes after it) of a checkpoint."""
+    blob = path.read_bytes()
+    start = len(CKPT_MAGIC) + 4
+    (length,) = struct.unpack_from("<I", blob, start)
+    end = start + 4 + length
+    return blob[:start], json.loads(blob[start + 4 : end]), blob[end:]
+
+
+def _with_header(path, edit):
+    """Rewrite the JSON header of the checkpoint at path through edit(header)."""
+    before, header, after = _split_header(path)
+    raw = json.dumps(edit(header), sort_keys=True).encode("utf-8")
+    path.write_bytes(before + struct.pack("<I", len(raw)) + raw + after)
+
+
+class TestCheckpointHeader:
+    def test_header_is_model_section_plus_stage_and_classes(self, tmp_path):
+        model = mini_model(stage=2, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        section = model_section(MINI_CFG, MINI_CLUE, VOCAB)
+        assert _split_header(path)[1] == {**section, "stage": 2, "num_classes": NUM_CLASSES}
+        assert section["channels"] == [2, 2]
+
+    def test_extra_stft_key_is_input_error_naming_file_and_key(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, mini_model(stage=1, dtype=np.float32))
+        _with_header(path, lambda h: {**h, "stft": {**h["stft"], "window": 3}})
+        with pytest.raises(InputError, match=r"m\.ckpt: unknown config key 'stft\.window'"):
+            load_checkpoint(path)
+
+    def test_channels_not_a_list_is_input_error_naming_file_and_key(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, mini_model(stage=1, dtype=np.float32))
+        _with_header(path, lambda h: {**h, "channels": 5})
+        with pytest.raises(InputError, match=r"m\.ckpt: config key 'channels'"):
+            load_checkpoint(path)
+
+    def test_missing_key_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, mini_model(stage=1, dtype=np.float32))
+        _with_header(path, lambda h: {k: v for k, v in h.items() if k != "lstm_hidden"})
+        with pytest.raises(InputError, match=r"m\.ckpt: .*missing key 'lstm_hidden'"):
+            load_checkpoint(path)

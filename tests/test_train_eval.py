@@ -365,6 +365,26 @@ class TestTrain:
             train(type(manifest)([record]), classes, model, cfg, out)
         assert not out.exists()
 
+    def test_non_finite_validation_loss_stops_training(self, toy_data, tmp_path,
+                                                      monkeypatch):
+        manifest, classes = toy_data
+        record = manifest.split("valid")[0]
+
+        def nan_target_when_valid(record, table):
+            example = example_from_record(record, table)
+            if record["split"] == "valid":
+                example.target.samples[:] = np.nan
+            return example
+
+        monkeypatch.setattr(train_eval, "example_from_record", nan_target_when_valid)
+        cfg = TrainConfig(stage=1, batch_size=2, epochs=3)
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError, match=(
+                f"non-finite validation loss nan on example '{record['id']}' "
+                r"\(stage 1\)")):
+            train(manifest, classes, tiny_model(stage=1), cfg, out)
+        assert not out.exists()
+
     def test_non_finite_gradient_stops_before_adam(self, toy_data, tmp_path, monkeypatch):
         manifest, classes = toy_data
         model = tiny_model(stage=1)
