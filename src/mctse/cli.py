@@ -196,7 +196,9 @@ def cmd_evaluate(args) -> int:
     )
     write_report(args.report, report)
     for name in report.subsets:
-        print(f"{name}: mean SNRi {report.mean(name):+.3f} dB over {report.count(name)}")
+        spread = ", ".join(f"{kind} {value:+.3f}" for kind, value in report.spread(name).items())
+        print(f"{name}: mean SNRi {report.mean(name):+.3f} dB ({spread}) over "
+              f"{report.count(name)}")
     print(f"wrote {args.report}")
     return 0
 

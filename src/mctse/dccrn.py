@@ -6,6 +6,11 @@ features are enhanced by a pair of clue-conditioned LSTMs, and mirrored
 transposed convolutions with skip connections decode the enhanced features
 directly into the complex spectrum estimate of the target source.
 
+Inside the U-Net a complex feature map of C channels is one real [2C, F, T]
+tensor, the real channels then the imaginary ones, and each complex layer is
+one real convolution with the block kernel of nn_blocks.complex_kernel, one
+per-channel bias and one PReLU.
+
 The conditioning clue is either a class embedding tiled over time (the
 tag-only baseline trained in stage 1) or the attention-fused multi-modal clue
 from clue_net (stage 2). Checkpoints serialize every parameter as named f32
@@ -41,8 +46,7 @@ from .nn_blocks import (
     LinearParams,
     LstmParams,
     apply_linear,
-    complex_conv2d,
-    complex_conv2d_transpose,
+    complex_kernel,
     complex_lstm_enhance,
     uniform_init,
 )
@@ -232,51 +236,53 @@ class Model:
 
     # -- forward pieces -------------------------------------------------------
 
-    def _time_pad(self, part: Tensor) -> Tensor:
-        c, f, _ = part.data.shape
-        zeros = Tensor(np.zeros((c, f, TIME_KERNEL - 1), dtype=part.data.dtype))
-        return ops.concat([zeros, part], axis=2)
+    def _time_pad(self, x: Tensor) -> Tensor:
+        c, f, _ = x.data.shape
+        zeros = Tensor(np.zeros((c, f, TIME_KERNEL - 1), dtype=x.data.dtype))
+        return ops.concat([zeros, x], axis=2)
 
-    def _activate(self, y: ComplexFeature, layer: ComplexConvParams) -> ComplexFeature:
-        real = ops.channel_bias(y.real, layer.br)
-        imag = ops.channel_bias(y.imag, layer.bi)
+    def _activate(self, y: Tensor, layer: ComplexConvParams) -> Tensor:
+        """Bias and PReLU of a stacked map: the real-part values on the real
+        channels, the imaginary-part values on the imaginary ones."""
+        y = ops.channel_bias(y, ops.concat([layer.br, layer.bi]))
         if layer.slope_r is not None:
-            real = ops.prelu(real, layer.slope_r)
-            imag = ops.prelu(imag, layer.slope_i)
-        return ComplexFeature(real, imag)
+            c = layer.br.data.shape[0]
+            y = ops.prelu(y, ops.concat([layer.slope_r] * c + [layer.slope_i] * c))
+        return y
 
-    def encode(self, spec: ComplexSpec) -> tuple[ComplexFeature, list[ComplexFeature]]:
-        """Run the convolutional encoder; returns flattened [T x D] features and skips."""
+    @staticmethod
+    def _frames(x: Tensor) -> ComplexFeature:
+        """A stacked [2C, F, T] map as complex [T x C*F] features."""
+        c2, f, frames = x.data.shape
+        flat = ops.reshape(ops.transpose(x, (2, 0, 1)), (frames, c2 * f))
+        return ComplexFeature.from_stacked(flat, axis=1)
+
+    def encode(self, spec: ComplexSpec) -> tuple[ComplexFeature, list[Tensor]]:
+        """Run the convolutional encoder; returns flattened [T x D] features and
+        the stacked [2C, F, T] skips."""
         if spec.real.shape[1] != self.cfg.stft.bins:
             raise ContractError(
                 f"spectrum has {spec.real.shape[1]} bins, model expects {self.cfg.stft.bins}"
             )
-        cur = ComplexFeature(
-            constant(spec.real.T[None].astype(self.dtype)),
-            constant(spec.imag.T[None].astype(self.dtype)),
-        )
+        cur = constant(np.stack([spec.real.T, spec.imag.T]).astype(self.dtype))
         skips = []
         for layer in self.encoder:
-            padded = ComplexFeature(self._time_pad(cur.real), self._time_pad(cur.imag))
-            kernel = ComplexFeature(layer.kr, layer.ki)
-            conv = complex_conv2d(
-                padded, kernel, stride=(FREQ_STRIDE, 1), padding=(FREQ_PAD, 0)
+            conv = ops.conv2d(
+                self._time_pad(cur),
+                complex_kernel(layer.kr, layer.ki),
+                stride=(FREQ_STRIDE, 1),
+                padding=(FREQ_PAD, 0),
             )
             cur = self._activate(conv, layer)
             skips.append(cur)
-        c, f, frames = cur.shape
-
-        def flatten(part: Tensor) -> Tensor:
-            return ops.reshape(ops.transpose(part, (2, 0, 1)), (frames, c * f))
-
-        return ComplexFeature(flatten(cur.real), flatten(cur.imag)), skips
+        return self._frames(cur), skips
 
     def enhance(self, y: ComplexFeature, clue: Tensor) -> ComplexFeature:
         return complex_lstm_enhance(
             y, clue, self.lstm_r, self.lstm_i, self.proj_r, self.proj_i
         )
 
-    def decode(self, f_out: ComplexFeature, skips: list[ComplexFeature]) -> ComplexFeature:
+    def decode(self, f_out: ComplexFeature, skips: list[Tensor]) -> ComplexFeature:
         """Mirror the encoder back to a [T x F] complex spectrum estimate."""
         if len(skips) != len(self.decoder):
             raise ContractError(
@@ -284,34 +290,21 @@ class Model:
             )
         frames = f_out.shape[0]
         c, f = self.cfg.channels[-1], self.cfg.freq_sizes()[-1]
-
-        def unflatten(part: Tensor) -> Tensor:
-            return ops.transpose(ops.reshape(part, (frames, c, f)), (1, 2, 0))
-
-        cur = ComplexFeature(unflatten(f_out.real), unflatten(f_out.imag))
+        cur = ops.transpose(ops.reshape(f_out.stacked(axis=1), (frames, 2 * c, f)), (1, 2, 0))
         for layer, skip in zip(self.decoder, reversed(skips)):
-            if cur.shape != skip.shape:
+            if cur.data.shape != skip.data.shape:
                 raise ContractError(
                     f"skip feature {skip.shape} does not match decoder input {cur.shape}"
                 )
-            merged = ComplexFeature(
-                ops.concat([cur.real, skip.real], axis=0),
-                ops.concat([cur.imag, skip.imag], axis=0),
+            # [cur_r, cur_i, skip_r, skip_i]: two stacked maps, two kernel groups
+            up = ops.conv2d_transpose(
+                ops.concat([cur, skip], axis=0),
+                complex_kernel(layer.kr, layer.ki, transposed=True, groups=2),
+                stride=(FREQ_STRIDE, 1),
+                padding=(FREQ_PAD, 0),
             )
-            kernel = ComplexFeature(layer.kr, layer.ki)
-            up = complex_conv2d_transpose(
-                merged, kernel, stride=(FREQ_STRIDE, 1), padding=(FREQ_PAD, 0)
-            )
-            trimmed = ComplexFeature(
-                ops.slice_axis(up.real, 2, 1, frames + 1),
-                ops.slice_axis(up.imag, 2, 1, frames + 1),
-            )
-            cur = self._activate(trimmed, layer)
-
-        def to_frames(part: Tensor) -> Tensor:
-            return ops.transpose(ops.reshape(part, part.data.shape[1:]), (1, 0))
-
-        return ComplexFeature(to_frames(cur.real), to_frames(cur.imag))
+            cur = self._activate(ops.slice_axis(up, 2, 1, frames + 1), layer)
+        return self._frames(cur)
 
     # -- clue routing ---------------------------------------------------------
 
@@ -339,13 +332,14 @@ class MixtureEncoding:
     """The part of the forward that the clue does not enter.
 
     Every clue set for one mixture reuses it: the spectrum, the flattened
-    [T x D] bottleneck features, the encoder skips and, in stage 2 only, the
+    [T x D] bottleneck features, the encoder skips (each a stacked
+    [2C, F, T] map, real channels then imaginary) and, in stage 2 only, the
     sound-embedding queries.
     """
 
     spec: ComplexSpec
     features: ComplexFeature
-    skips: list[ComplexFeature]
+    skips: list[Tensor]
     sound: EmbeddingSeq | None
     length: int  # samples in the mixture, and so in the estimate
 

@@ -270,22 +270,62 @@ class ComplexFeature:
     def shape(self):
         return self.real.data.shape
 
+    def stacked(self, axis: int = 0) -> Tensor:
+        """One real tensor: the real part, then the imaginary part, along axis."""
+        return ops.concat([self.real, self.imag], axis=axis)
+
+    @classmethod
+    def from_stacked(cls, x: Tensor, axis: int = 0) -> "ComplexFeature":
+        """Split a stacked [real; imag] tensor in half along axis."""
+        half = x.data.shape[axis] // 2
+        return cls(ops.slice_axis(x, axis, 0, half), ops.slice_axis(x, axis, half, 2 * half))
+
+
+def complex_kernel(kr: Tensor, ki: Tensor, transposed: bool = False, groups: int = 1) -> Tensor:
+    """The real kernel that applies the complex kernel kr + i*ki to stacked channels.
+
+    A complex map with C channels is stacked as one real map of 2C channels,
+    real first, and one real convolution with this kernel yields the stacked
+    [kr*x_r - ki*x_i; ki*x_r + kr*x_i]. In conv2d's layout (kr [Cout, Cin,
+    kh, kw]) the kernel is [[kr, -ki], [ki, kr]]; in conv2d_transpose's
+    (kr [Cin, Cout, kh, kw], transposed) the same blocks sit with the channel
+    axes swapped. With groups > 1 the input is that many stacked maps in a row,
+    each of Cin/groups complex channels, and each takes its share of kr's and
+    ki's input channels.
+    """
+    if kr.data.shape != ki.data.shape or kr.data.ndim != 4:
+        raise ContractError(f"complex_kernel: parts {kr.shape} vs {ki.shape}")
+    in_axis = 0 if transposed else 1
+    swap = lambda a: np.swapaxes(a, 0, in_axis)  # input channels first, and back
+    cin, cout, kh, kw = swap(kr.data).shape
+    if groups < 1 or cin % groups:
+        raise ContractError(f"complex_kernel: {cin} input channels in {groups} groups")
+    c = cin // groups
+    grouped = (groups, 1, c, 1, cout, kh, kw)  # group, input part, channel, output part, ...
+    r, i = swap(kr.data).reshape(grouped), swap(ki.data).reshape(grouped)
+    rows = np.concatenate(
+        [np.concatenate([r, i], axis=3), np.concatenate([-i, r], axis=3)], axis=1
+    )
+    k = np.ascontiguousarray(swap(rows.reshape(2 * cin, 2 * cout, kh, kw)))
+
+    def rule(g, sink):
+        d = swap(g).reshape(groups, 2, c, 2, cout, kh, kw)
+        ungroup = lambda a: np.ascontiguousarray(swap(a.reshape(cin, cout, kh, kw)))
+        sink(kr, ungroup(d[:, 0, :, 0] + d[:, 1, :, 1]))
+        sink(ki, ungroup(d[:, 0, :, 1] - d[:, 1, :, 0]))
+
+    return make_node(k, (kr, ki), rule)
+
 
 def complex_conv2d(x: ComplexFeature, k: ComplexFeature, stride=(1, 1), padding=(0, 0)) -> ComplexFeature:
-    """(x_r + i x_i) * (k_r + i k_i) as four real convolutions."""
-    rr = ops.conv2d(x.real, k.real, stride, padding)
-    ii = ops.conv2d(x.imag, k.imag, stride, padding)
-    ri = ops.conv2d(x.real, k.imag, stride, padding)
-    ir = ops.conv2d(x.imag, k.real, stride, padding)
-    return ComplexFeature(rr - ii, ri + ir)
+    """(x_r + i x_i) * (k_r + i k_i) as one real convolution of the stacked parts."""
+    y = ops.conv2d(x.stacked(), complex_kernel(k.real, k.imag), stride, padding)
+    return ComplexFeature.from_stacked(y)
 
 
 def complex_conv2d_transpose(x: ComplexFeature, k: ComplexFeature, stride=(1, 1), padding=(0, 0)) -> ComplexFeature:
-    rr = ops.conv2d_transpose(x.real, k.real, stride, padding)
-    ii = ops.conv2d_transpose(x.imag, k.imag, stride, padding)
-    ri = ops.conv2d_transpose(x.real, k.imag, stride, padding)
-    ir = ops.conv2d_transpose(x.imag, k.real, stride, padding)
-    return ComplexFeature(rr - ii, ri + ir)
+    kernel = complex_kernel(k.real, k.imag, transposed=True)
+    return ComplexFeature.from_stacked(ops.conv2d_transpose(x.stacked(), kernel, stride, padding))
 
 
 # ---------------------------------------------------------------------------

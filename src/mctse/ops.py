@@ -150,15 +150,23 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
-    """max(x, 0) + a * min(x, 0) with a learnable size-1 slope a."""
-    if a.data.size != 1:
-        raise ContractError(f"prelu: slope must be size-1, got shape {a.shape}")
-    av = float(a.data.reshape(-1)[0])
+    """max(x, 0) + a * min(x, 0) with a learnable slope a: size 1, or one slope
+    per channel along x's first axis."""
+    if a.data.size == 1:
+        av = float(a.data.reshape(-1)[0])
+        reduce = np.sum
+    elif x.data.ndim and a.data.shape == x.data.shape[:1]:
+        av = a.data.reshape(a.data.shape + (1,) * (x.data.ndim - 1))
+        reduce = lambda v: v.reshape(v.shape[0], -1).sum(axis=1)
+    else:
+        raise ContractError(
+            f"prelu: slope must be size-1 or one per channel of {x.shape}, got shape {a.shape}"
+        )
     neg = np.minimum(x.data, 0.0)
 
     def rule(g, sink):
         sink(x, np.where(x.data > 0, g, g * av))  # keeps g's dtype
-        sink(a, np.sum(g * neg).reshape(a.data.shape))
+        sink(a, reduce(g * neg).reshape(a.data.shape))
 
     return make_node(np.maximum(x.data, 0.0) + av * neg, (x, a), rule)
 
@@ -227,14 +235,25 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, h2: int, w2: int
     return np.ascontiguousarray(windows).reshape(c * kh * kw, h2 * w2)
 
 
-def _col2im(dcols: np.ndarray, shape, kh, kw, sh, sw, h2, w2) -> np.ndarray:
+def _scatter_taps(k: np.ndarray, m: np.ndarray, shape, sh: int, sw: int, h2: int, w2: int) -> np.ndarray:
+    """The adjoint of im2col framing: a zero [C,H,W] array plus, for each
+    kernel tap (i, j) in row-major order, k[:, :, i, j].T @ m added into the
+    tap's strided window.
+
+    k is [A, C, kh, kw] and m is [A, h2*w2]. One gemm per kernel row forms
+    that row's kw products, [kw*C, h2*w2], never the [kh*kw*C, h2*w2] column
+    matrix; per-tap gemms were slower on the model's layer shapes.
+    """
     c = shape[0]
-    dxp = np.zeros(shape, dtype=dcols.dtype)
-    dc = dcols.reshape(c, kh, kw, h2, w2)
+    _, _, kh, kw = k.shape
+    rows = np.ascontiguousarray(k.transpose(2, 3, 1, 0)).reshape(kh, kw * c, -1)
+    out = np.zeros(shape, dtype=np.result_type(k, m))
     for i in range(kh):
+        row = (rows[i] @ m).reshape(kw, c, h2, w2)
         for j in range(kw):
-            dxp[:, i : i + sh * (h2 - 1) + 1 : sh, j : j + sw * (w2 - 1) + 1 : sw] += dc[:, i, j]
-    return dxp
+            window = out[:, i : i + sh * (h2 - 1) + 1 : sh, j : j + sw * (w2 - 1) + 1 : sw]
+            window += row[j]
+    return out
 
 
 def _conv_geometry(x: Tensor, k: Tensor, stride, padding, transpose: bool):
@@ -269,8 +288,9 @@ def conv2d(x: Tensor, k: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     def rule(g, sink):
         gm = np.ascontiguousarray(g.reshape(cout, -1))
         sink(k, (gm @ cols.T).reshape(k.data.shape))
-        dcols = k.data.reshape(cout, -1).T @ gm
-        dxp = _col2im(dcols, xp.shape, kh, kw, sh, sw, h2, w2)
+        if not x.requires_grad:  # a constant input, such as a spectrum, takes no gradient
+            return
+        dxp = _scatter_taps(k.data, gm, (cin, hp, wp), sh, sw, h2, w2)
         sink(x, dxp[:, ph : ph + h, pw : pw + w])
 
     return make_node(out, (x, k), rule)
@@ -294,12 +314,12 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride=(1, 1), padding=(0, 0)) -> Ten
         raise ContractError(
             f"conv2d_transpose: padding {padding} swallows the ({hf},{wf}) output"
         )
-    # The scatter over kernel positions is the adjoint of im2col framing, so
-    # the forward is one gemm followed by col2im; the backward gathers windows
-    # of the padded gradient with im2col and reduces to two gemms.
+    # The forward scatters each kernel tap's product into its output window;
+    # the backward gathers windows of the padded gradient with im2col and
+    # reduces to two gemms.
     kmat = k.data.reshape(cin, cout * kh * kw)
     xmat = x.data.reshape(cin, h * w)
-    buf = _col2im(kmat.T @ xmat, (cout, hf, wf), kh, kw, sh, sw, h, w)
+    buf = _scatter_taps(k.data, xmat, (cout, hf, wf), sh, sw, h, w)
     out = buf[:, ph : ph + h2, pw : pw + w2]
 
     def rule(g, sink):

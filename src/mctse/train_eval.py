@@ -466,12 +466,16 @@ def evaluate(manifest: Manifest, classes: list[SoundClass], model: Model,
 
 
 def write_report(path, report: EvalReport) -> None:
-    """CSV with one mean row per subset followed by per-example rows."""
+    """CSV with one mean row per subset, then median, p10 and p90 rows per
+    subset, then per-example rows."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["kind", "subset", "example_id", "snri_db"])
         for name in report.subsets:
             writer.writerow(["mean", name, "", f"{report.mean(name):.6f}"])
+        for name in report.subsets:
+            for kind, value in report.spread(name).items():
+                writer.writerow([kind, name, "", f"{value:.6f}"])
         for row in report.rows:
             writer.writerow(["example", row["subset"], row["id"], f"{row['snri_db']:.6f}"])
 

@@ -27,6 +27,7 @@ from mctse.nn_blocks import (
     MhaParams,
     complex_conv2d,
     complex_conv2d_transpose,
+    complex_kernel,
     complex_lstm_enhance,
     lstm_forward,
     multi_head_attention,
@@ -181,7 +182,9 @@ def _build_prelu(seed):
     rng = np.random.default_rng([19, seed])
     x = _away_from_zero(rng, 4, 5)
     slope = Tensor(rng.uniform(0.1, 0.5, 1), requires_grad=True)
-    return _scalarized(rng, lambda: ops.prelu(x, slope)), [x, slope]
+    per_channel = Tensor(rng.uniform(0.1, 0.5, 4), requires_grad=True)
+    fn = lambda: ops.add(ops.prelu(x, slope), ops.prelu(x, per_channel))
+    return _scalarized(rng, fn), [x, slope, per_channel]
 
 
 @gradient_case("reduce_sum/mean over axes", 1e-6)
@@ -312,14 +315,20 @@ def _build_complex_deconv(seed):
     rng = np.random.default_rng([33, seed])
     xr, xi = _param(rng, 2, 4, 5), _param(rng, 2, 4, 5)
     kr, ki = _param(rng, 2, 3, 3, 2), _param(rng, 2, 3, 3, 2)
+    # The decoder's kernel: two stacked complex maps in, one group each.
+    skip = _param(rng, 4, 4, 5)
+    gr, gi = _param(rng, 4, 3, 3, 2), _param(rng, 4, 3, 3, 2)
 
     def fn():
         out = complex_conv2d_transpose(
             ComplexFeature(xr, xi), ComplexFeature(kr, ki), stride=(2, 1), padding=(1, 0)
         )
-        return out.real, out.imag
+        merged = ops.concat([xr, xi, skip], axis=0)
+        kernel = complex_kernel(gr, gi, transposed=True, groups=2)
+        grouped = ops.conv2d_transpose(merged, kernel, stride=(2, 1), padding=(1, 0))
+        return out.stacked(), grouped
 
-    return _pair_readout(rng, fn), [xr, xi, kr, ki]
+    return _pair_readout(rng, fn), [xr, xi, kr, ki, skip, gr, gi]
 
 
 @gradient_case("clue-shifted complex lstm enhancement", 1e-4)

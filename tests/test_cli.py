@@ -309,6 +309,28 @@ class TestEvaluateCommand:
         means = [r for r in rows[1:] if r[0] == "mean"]
         assert [r[1] for r in means] == ["tag", "tag+text", "tag+text+video"]
 
+    def test_spread_rows_and_printout(self, workspace, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        subsets = ["tag", "tag+text"]
+        assert main([
+            "evaluate", "--ckpt", str(workspace["s2"]),
+            "--manifest", str(workspace["manifest"]),
+            "--subsets", "|".join(subsets), "--report", str(report),
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(report.open()))[1:]
+        kinds = [r[0] for r in rows]
+        assert kinds[:8] == ["mean", "mean"] + ["median", "p10", "p90"] * 2
+        assert set(kinds[8:]) == {"example"}
+        for name in subsets:
+            snri = [float(r[3]) for r in rows if r[0] == "example" and r[1] == name]
+            spread = {r[0]: float(r[3]) for r in rows[2:8] if r[1] == name}
+            want = dict(zip(("p10", "median", "p90"), np.percentile(snri, [10, 50, 90])))
+            assert spread == pytest.approx(want, abs=1e-5)
+            line = next(x for x in out.splitlines() if x.startswith(f"{name}: "))
+            assert (f"median {spread['median']:+.3f}, p10 {spread['p10']:+.3f}, "
+                    f"p90 {spread['p90']:+.3f}") in line
+
     def test_corruption_flags(self, workspace, tmp_path):
         report = tmp_path / "report.csv"
         assert main([

@@ -27,7 +27,8 @@ from mctse.dccrn import (
     save_checkpoint,
 )
 from mctse.gradcheck import check_gradients
-from mctse.signal import AudioClip, StftConfig, stft_array
+from mctse.nn_blocks import ComplexFeature
+from mctse.signal import AudioClip, ComplexSpec, StftConfig, stft_array
 from mctse.tensor import Tape
 from mctse.train_eval import extraction_loss
 
@@ -131,7 +132,7 @@ class TestEncodeDecode:
         model = mini_model()
         y, skips = model.encode(self.spectrum())
         assert y.real.data.shape == (6, 6)
-        assert [s.real.data.shape for s in skips] == [(2, 5, 6), (2, 3, 6)]
+        assert [s.data.shape for s in skips] == [(4, 5, 6), (4, 3, 6)]
 
     def test_zero_spectrum_encodes_to_zero(self):
         model = mini_model()
@@ -177,6 +178,76 @@ class TestEncodeDecode:
         y, skips = model.encode(self.spectrum())
         with pytest.raises(ContractError, match="skip"):
             model.decode(y, skips[::-1])
+
+
+def reference_unet(model, spec):
+    """Model.encode then Model.decode, without the enhancement, with every
+    complex layer as four real convolutions and a bias and PReLU per part:
+    the formulation that the stacked block kernel replaces."""
+    geometry = dict(stride=(dccrn.FREQ_STRIDE, 1), padding=(dccrn.FREQ_PAD, 0))
+
+    def complex_layer(conv, x, layer, frames=None):
+        rr = conv(x.real, layer.kr, **geometry) - conv(x.imag, layer.ki, **geometry)
+        ri = conv(x.real, layer.ki, **geometry) + conv(x.imag, layer.kr, **geometry)
+        parts = [rr, ri] if frames is None else [ops.slice_axis(p, 2, 1, frames + 1)
+                                                 for p in (rr, ri)]
+        parts = [ops.channel_bias(p, b) for p, b in zip(parts, (layer.br, layer.bi))]
+        if layer.slope_r is not None:
+            parts = [ops.prelu(p, a) for p, a in zip(parts, (layer.slope_r, layer.slope_i))]
+        return ComplexFeature(*parts)
+
+    def time_pad(t):
+        return ops.concat([constant(np.zeros(t.data.shape[:2] + (1,), t.data.dtype)), t], axis=2)
+
+    cur = ComplexFeature(constant(spec.real.T[None].astype(model.dtype)),
+                         constant(spec.imag.T[None].astype(model.dtype)))
+    skips = []
+    for layer in model.encoder:
+        cur = complex_layer(ops.conv2d, ComplexFeature(time_pad(cur.real), time_pad(cur.imag)),
+                            layer)
+        skips.append(cur)
+    frames = cur.shape[2]
+    for layer, skip in zip(model.decoder, reversed(skips)):
+        merged = ComplexFeature(ops.concat([cur.real, skip.real]), ops.concat([cur.imag, skip.imag]))
+        cur = complex_layer(ops.conv2d_transpose, merged, layer, frames)
+    return skips, cur
+
+
+class TestStackedUnet:
+    """Each complex layer is one real convolution over stacked [real; imag] channels."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_four_real_convolutions(self, dtype, rtol):
+        cfg = DccrnConfig(channels=(2, 3, 4), lstm_hidden=3, lstm_layers=1, stft=MINI_STFT)
+        model = Model(np.random.default_rng(7), cfg, num_classes=NUM_CLASSES, dtype=dtype)
+        rng = np.random.default_rng(8)
+        for name, t in model.named_tensors().items():
+            if name.rsplit(".", 1)[-1] in ("br", "bi", "ar", "ai"):  # zeros and 0.25 at init
+                t.data = rng.uniform(-0.5, 0.5, t.data.shape).astype(dtype)
+        spec_c = stft_array(mini_clip(seed=9, n=100), MINI_STFT)
+        spec = ComplexSpec(spec_c.real.copy(), spec_c.imag.copy(), MINI_STFT)
+        features, skips = model.encode(spec)
+        out = model.decode(features, skips)
+        ref_skips, ref_out = reference_unet(model, spec)
+
+        def close(got, want):
+            # relative to the map's scale: a sum that cancels to near zero
+            # keeps only the absolute error of its terms
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+        for skip, ref in zip(skips, ref_skips):
+            assert skip.data.dtype == dtype
+            close(skip.data, np.concatenate([ref.real.data, ref.imag.data]))
+        close(out.real.data, ref_out.real.data[0].T)
+        close(out.imag.data, ref_out.imag.data[0].T)
+
+    def test_one_convolution_node_per_layer(self):
+        model = mini_model(stage=1)
+        nodes = Tape.trace(training_loss(model, 1)).nodes
+        rules = [n._backward.__qualname__.split(".<locals>")[0]
+                 for n in nodes if n._backward is not None]
+        assert rules.count("conv2d") == len(model.encoder)
+        assert rules.count("conv2d_transpose") == len(model.decoder)
 
 
 class TestRunModel:

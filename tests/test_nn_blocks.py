@@ -14,6 +14,7 @@ from mctse.nn_blocks import (
     apply_linear,
     complex_conv2d,
     complex_conv2d_transpose,
+    complex_kernel,
     complex_lstm_enhance,
     linear,
     lstm_forward,
@@ -243,6 +244,13 @@ class TestComplexConv:
     def test_part_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             ComplexFeature(constant(np.zeros((1, 2, 2))), constant(np.zeros((1, 2, 3))))
+
+    def test_kernel_rejects_unequal_parts_and_uneven_groups(self):
+        k = constant(np.zeros((3, 2, 1, 1)))
+        with pytest.raises(ContractError, match="parts"):
+            complex_kernel(k, constant(np.zeros((3, 2, 1, 2))))
+        with pytest.raises(ContractError, match="groups"):
+            complex_kernel(k, k, transposed=True, groups=2)
 
 
 class TestComplexLstmEnhance:

@@ -390,6 +390,10 @@ class TestErrors:
         with pytest.raises(ContractError):
             ops.conv2d(constant(np.zeros((1, 2, 2))), constant(np.zeros((1, 1, 5, 5))))
 
+    def test_prelu_slope_neither_scalar_nor_per_channel(self):
+        with pytest.raises(ContractError, match="slope"):
+            ops.prelu(constant(np.zeros((3, 2))), constant(np.full(2, 0.25)))
+
     def test_log10_domain(self):
         with pytest.raises(InputError):
             ops.log10(constant([1.0, 0.0]))
